@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from .connection import (
-    covariant_derivative_estimate,
+    _covariant_derivative,
     curvature_tensor,
     homogeneity_residual,
     ricci_tensor,
 )
 from .errors import GeometryError
 from .formats import (
-    FormatError,
     dump_lambda,
     dump_subspace,
     file_digest,
@@ -38,6 +37,7 @@ from .formats import (
 )
 from .cross_ratio import cross_ratio, cr_log_distance
 from .normalization import (
+    DEFAULT_EPS,
     MPair,
     estimate_fundamental_tensor,
     isotropic_dimension,
@@ -57,7 +57,6 @@ from .projective_core import adapted_frame
 from .segre_affine import flatness_report, inverse_projection, stereographic_projection
 
 DEFAULT_TOL = 1e-9
-DEFAULT_EPS = 1e-5
 
 
 def _report(command, inputs, outputs=None, residuals=None, verdicts=None, tolerance=DEFAULT_TOL):
@@ -220,13 +219,14 @@ def _cmd_check_covariant_constancy(args):
     nu, pair, inputs = _pair_under_map(args)
     direction = load_direction(args.direction)
     inputs["direction"] = file_digest(args.direction)
-    grad = covariant_derivative_estimate(nu, pair, direction, eps=args.eps)
+    grad, lam = _covariant_derivative(nu, pair, direction, eps=args.eps)
     max_abs = float(np.max(np.abs(grad), initial=0.0))
-    lam_scale = float(
-        np.max(np.abs(estimate_fundamental_tensor(nu, pair, eps=args.eps).lam), initial=0.0)
-    )
-    # default threshold follows the O(eps^2) truncation of the estimator
-    threshold = args.tol if args.tol is not None else 100.0 * args.eps**2 * max(1.0, lam_scale)
+    lam_scale = float(np.max(np.abs(lam), initial=0.0))
+    # default threshold: the O(eps^2) truncation of the second difference
+    # plus its rounding floor u / eps^2, u the float64 machine epsilon
+    u = np.finfo(float).eps
+    default = 100.0 * (args.eps**2 + u / args.eps**2) * max(1.0, lam_scale)
+    threshold = default if args.tol is None else args.tol
     return _report(
         "check covariant-constancy",
         inputs,
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="verdict tolerance (default 1e-9)")
     common.add_argument("--eps", type=float, default=DEFAULT_EPS, help="finite-difference step")
-    common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
 
     parser = argparse.ArgumentParser(
         prog="grassnorm",
@@ -367,10 +366,7 @@ def run(argv=None) -> int:
         return 2
     try:
         report = args.handler(args)
-    except (FormatError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GeometryError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_report(report))

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .errors import FramingFailure
-from .linalg import RANK_RTOL, min_max_singular
+from .errors import DimensionMismatch, FramingFailure
+from .linalg import _frozen
 from .normalization import (
     FundamentalTensor,
     NormalizingMap,
@@ -44,13 +43,7 @@ from .normalization import (
     estimate_fundamental_tensor,
     estimate_fundamental_tensor_in_frame,
 )
-from .projective_core import MPair, adapted_frame, subspace_from_points
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
+from .projective_core import MPair, Subspace, _graph_over_frame, adapted_frame
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,7 @@ class CurvatureTensor:
     def __post_init__(self):
         gd, ld = self.m + 1, self.n - self.m
         expected = (ld, gd, gd, gd, gd, ld, ld, ld)
-        arr = np.asarray(self.r, dtype=float)
-        if arr.shape != expected:
-            raise DimensionMismatch(f"curvature must have shape {expected}, got {arr.shape}")
-        object.__setattr__(self, "r", _frozen(arr))
+        object.__setattr__(self, "r", _frozen(self.r, expected, "curvature"))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.r), initial=0.0))
@@ -83,11 +73,7 @@ class RicciTensor:
 
     def __post_init__(self):
         gd, ld = self.m + 1, self.n - self.m
-        expected = (gd, gd, ld, ld)
-        arr = np.asarray(self.ric, dtype=float)
-        if arr.shape != expected:
-            raise DimensionMismatch(f"ricci must have shape {expected}, got {arr.shape}")
-        object.__setattr__(self, "ric", _frozen(arr))
+        object.__setattr__(self, "ric", _frozen(self.ric, (gd, gd, ld, ld), "ricci"))
 
     def asymmetry(self) -> float:
         """Max-abs deviation from pair symmetry (beta, j) <-> (gamma, k)."""
@@ -172,14 +158,9 @@ def _transported_frame(frame0: np.ndarray, m: int, d: np.ndarray, t: float, nu: 
     """
     n = frame0.shape[0] - 1
     base = frame0[:, : m + 1] + t * (frame0[:, m + 1 :] @ d)
-    p_t = subspace_from_points([base[:, b] for b in range(m + 1)])
-    star_t = _apply_map(nu, p_t, n, m)
-    coords = np.linalg.solve(frame0, star_t.coord_matrix)
-    top, bottom = coords[: m + 1, :], coords[m + 1 :, :]
-    smin, smax = min_max_singular(bottom)
-    if smax == 0.0 or smin <= RANK_RTOL * smax:
-        raise FramingFailure("complement left the chart of the base frame")
-    graph = np.linalg.solve(bottom.T, top.T).T
+    star_t = _apply_map(nu, Subspace(ambient_n=n, coord_matrix=base), n, m)
+    off_chart = FramingFailure("complement left the chart of the base frame")
+    graph = _graph_over_frame(frame0, star_t.coord_matrix, m + 1, unit_top=False, error=off_chart)
     comp = frame0 @ np.vstack([graph, np.eye(n - m)])
     return np.hstack([base, comp])
 
@@ -205,6 +186,13 @@ def covariant_derivative_estimate(
     the 4-index array of derivative components in the base frame;
     O(eps^2) truncation.
     """
+    return _covariant_derivative(nu, pair, direction, eps)[0]
+
+
+def _covariant_derivative(
+    nu: NormalizingMap, pair: MPair, direction: TangentDirection, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """covariant_derivative_estimate and the base-pair tensor lam it used."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     m, n = pair.m, pair.ambient_n
@@ -235,4 +223,4 @@ def covariant_derivative_estimate(
         + np.einsum("acij,bc->abij", lam0, greek)
         + np.einsum("cbij,ac->abij", lam0, greek)
     )
-    return grad
+    return grad, lam0

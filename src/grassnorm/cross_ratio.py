@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveTrace,
     NotInGeneralPosition,
 )
-from .linalg import RANK_RTOL, is_invertible
+from .linalg import is_invertible
 from .projective_core import MPair, pair_is_valid, tangential_coordinates
 
 
@@ -71,9 +71,9 @@ def cross_ratio(pair_a: MPair, pair_b: MPair) -> CrossRatioMatrix:
 
     ux = u @ x
     vy = v @ y
-    if not is_invertible(ux, rtol=RANK_RTOL):
+    if not is_invertible(ux):
         raise NotInGeneralPosition("p_a and p_star_a meet p_b degenerately (U X singular)")
-    if not is_invertible(vy, rtol=RANK_RTOL):
+    if not is_invertible(vy):
         raise NotInGeneralPosition("p_b and p_star_b are not in general position (V Y singular)")
 
     w = x @ np.linalg.solve(ux, u @ y) @ np.linalg.solve(vy, v)

@@ -75,15 +75,20 @@ def _matrix_field(data: dict, key: str, where: str) -> np.ndarray:
     return arr
 
 
+def _build(where: str, make, **fields):
+    """make(**fields), with any failure reported as a FormatError at where."""
+    try:
+        return make(**fields)
+    except Exception as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def parse_subspace(data: dict, where: str = "subspace") -> Subspace:
     n = _int_field(data, "n", where)
     points = _matrix_field(data, "points", where)
     if points.shape[1] != n + 1:
         raise FormatError(f"{where}: points must have {n + 1} coordinates each")
-    try:
-        return subspace_from_points(points, ambient_n=n)
-    except Exception as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    return _build(where, subspace_from_points, points=points, ambient_n=n)
 
 
 def load_subspace(path: str | Path) -> Subspace:
@@ -98,20 +103,14 @@ def load_pair(path: str | Path) -> MPair:
     data = _load_json(path)
     p = parse_subspace(_require(data, "p", str(path)), where=f"{path}:p")
     p_star = parse_subspace(_require(data, "p_star", str(path)), where=f"{path}:p_star")
-    try:
-        return MPair(p=p, p_star=p_star)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(str(path), MPair, p=p, p_star=p_star)
 
 
 def load_quadric(path: str | Path) -> Quadric:
     data = _load_json(path)
     n = _int_field(data, "n", str(path))
     matrix = _matrix_field(data, "matrix", str(path))
-    try:
-        return Quadric(n=n, matrix=matrix)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(str(path), Quadric, n=n, matrix=matrix)
 
 
 def load_lambda(path: str | Path) -> FundamentalTensor:
@@ -123,10 +122,7 @@ def load_lambda(path: str | Path) -> FundamentalTensor:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: key 'lambda' is not a numeric array") from exc
-    try:
-        return FundamentalTensor(m=m, n=n, lam=arr)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(str(path), FundamentalTensor, m=m, n=n, lam=arr)
 
 
 def dump_lambda(lam: FundamentalTensor) -> dict:
@@ -138,10 +134,7 @@ def load_direction(path: str | Path) -> TangentDirection:
     m = _int_field(data, "m", str(path))
     n = _int_field(data, "n", str(path))
     d = _matrix_field(data, "d", str(path))
-    try:
-        return TangentDirection(m=m, n=n, d=d)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(str(path), TangentDirection, m=m, n=n, d=d)
 
 
 def load_chart_point(path: str | Path) -> AffineChartPoint:
@@ -149,10 +142,7 @@ def load_chart_point(path: str | Path) -> AffineChartPoint:
     m = _int_field(data, "m", str(path))
     n = _int_field(data, "n", str(path))
     b = _matrix_field(data, "B", str(path))
-    try:
-        return AffineChartPoint(m=m, n=n, b=b)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _build(str(path), AffineChartPoint, m=m, n=n, b=b)
 
 
 def parse_map_spec(spec: str) -> tuple[NormalizingMap, dict]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 # Singular values at or below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-9
 
@@ -18,6 +20,22 @@ def as_float_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndarray:
+    """Read-only C-contiguous float array of a.
+
+    Raises DimensionMismatch when shape is given and differs from the
+    array's, and ValueError when finite is set and an entry is not.
+    """
+    arr = np.asarray(a, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
     return arr
 
 

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure, MapUndefined
-from .linalg import RANK_RTOL, min_max_singular, svd_rank
-from .projective_core import MPair, Subspace, adapted_frame, subspace_from_points
+from .linalg import RANK_RTOL, _frozen, svd_rank
+from .projective_core import MPair, Subspace, _graph_over_frame, adapted_frame
 
 #: default displacement step for finite-difference estimation
 DEFAULT_EPS = 1e-5
@@ -33,18 +33,6 @@ DEFAULT_EPS = 1e-5
 def _check_grassmann_dims(m: int, n: int):
     if not (0 <= m <= n - 1):
         raise DimensionMismatch(f"require 0 <= m <= n - 1, got m={m}, n={n}")
-
-
-def _frozen_tensor(t, m: int, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    expected = (m + 1, m + 1, n - m, n - m)
-    if arr.shape != expected:
-        raise DimensionMismatch(f"{name} must have shape {expected}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -57,7 +45,8 @@ class FundamentalTensor:
 
     def __post_init__(self):
         _check_grassmann_dims(self.m, self.n)
-        object.__setattr__(self, "lam", _frozen_tensor(self.lam, self.m, self.n, "lam"))
+        shape = (self.m + 1, self.m + 1, self.n - self.m, self.n - self.m)
+        object.__setattr__(self, "lam", _frozen(self.lam, shape, "lam", finite=True))
 
     @property
     def rho(self) -> int:
@@ -80,7 +69,8 @@ class MetricTensor:
         _check_grassmann_dims(self.m, self.n)
         g = np.asarray(self.g, dtype=float)
         sym = 0.5 * (g + g.transpose(1, 0, 3, 2))
-        object.__setattr__(self, "g", _frozen_tensor(sym, self.m, self.n, "g"))
+        shape = (self.m + 1, self.m + 1, self.n - self.m, self.n - self.m)
+        object.__setattr__(self, "g", _frozen(sym, shape, "g", finite=True))
 
     @property
     def rho(self) -> int:
@@ -100,15 +90,8 @@ class TangentDirection:
 
     def __post_init__(self):
         _check_grassmann_dims(self.m, self.n)
-        arr = np.asarray(self.d, dtype=float)
-        expected = (self.n - self.m, self.m + 1)
-        if arr.shape != expected:
-            raise DimensionMismatch(f"direction must have shape {expected}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("direction contains non-finite entries")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "d", arr)
+        d = _frozen(self.d, (self.n - self.m, self.m + 1), "direction", finite=True)
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -184,17 +167,7 @@ def is_asymptotic_direction(direction: TangentDirection, tol: float = 1e-9) -> b
 def _displaced_subspace(frame: np.ndarray, m: int, beta: int, j: int, step: float) -> Subspace:
     cols = frame[:, : m + 1].copy()
     cols[:, beta] = cols[:, beta] + step * frame[:, m + 1 + j]
-    return subspace_from_points([cols[:, b] for b in range(m + 1)])
-
-
-def _complement_in_frame(frame: np.ndarray, m: int, p_star: Subspace) -> np.ndarray:
-    """Top block of p_star's coordinates in the frame, normalized to (C; I)."""
-    coords = np.linalg.solve(frame, p_star.coord_matrix)
-    top, bottom = coords[: m + 1, :], coords[m + 1 :, :]
-    smin, smax = min_max_singular(bottom)
-    if smax == 0.0 or smin <= RANK_RTOL * smax:
-        raise FramingFailure("displaced complement is not transverse to the reference frame")
-    return np.linalg.solve(bottom.T, top.T).T
+    return Subspace(ambient_n=frame.shape[0] - 1, coord_matrix=cols)
 
 
 def _apply_map(nu: NormalizingMap, p: Subspace, n: int, m: int) -> Subspace:
@@ -220,13 +193,15 @@ def estimate_fundamental_tensor_in_frame(
         raise ValueError("eps must be positive")
     n = frame.shape[0] - 1
     lam = np.zeros((m + 1, m + 1, n - m, n - m))
+    off_frame = FramingFailure("displaced complement is not transverse to the reference frame")
     for beta in range(m + 1):
         for j in range(n - m):
             tops = []
             for step in (eps, -eps):
                 p_disp = _displaced_subspace(frame, m, beta, j, step)
-                star = _apply_map(nu, p_disp, n, m)
-                tops.append(_complement_in_frame(frame, m, star))
+                x = _apply_map(nu, p_disp, n, m).coord_matrix
+                # span(x) = span(frame @ (C; I)); keep C
+                tops.append(_graph_over_frame(frame, x, m + 1, unit_top=False, error=off_frame))
             lam[:, beta, :, j] = (tops[0] - tops[1]) / (2.0 * eps)
     return lam
 

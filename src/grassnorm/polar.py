@@ -31,9 +31,9 @@ from .errors import (
     NotPolarAdapted,
     TangentSubspace,
 )
-from .linalg import RANK_RTOL, as_float_matrix, min_max_singular, nullspace
+from .linalg import _frozen, as_float_matrix, is_invertible, nullspace
 from .normalization import FundamentalTensor, NormalizingMap
-from .projective_core import ProjectiveFrame, Subspace, subspace_from_points
+from .projective_core import ProjectiveFrame, Subspace
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,9 @@ class Quadric:
         scale = float(np.max(np.abs(mat), initial=0.0))
         if scale == 0.0 or float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
             raise ValueError("quadric matrix must be symmetric and nonzero")
-        smin, smax = min_max_singular(mat)
-        if smin <= RANK_RTOL * smax:
+        if not is_invertible(mat):
             raise ValueError("quadric matrix is singular at the working tolerance")
-        mat = 0.5 * (mat + mat.T)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _frozen(0.5 * (mat + mat.T)))
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,7 @@ class BlockMetrics:
             if mat.shape != (k, k):
                 raise DimensionMismatch(f"{name} must be {k} x {k}, got {mat.shape}")
         for name in ("g_ab", "g_ij", "g_ab_inv"):
-            mat = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            mat.flags.writeable = False
-            object.__setattr__(self, name, mat)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,9 @@ def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
     if p.ambient_n != quadric.n:
         raise DimensionMismatch("subspace and quadric live in different ambient spaces")
     x = p.coord_matrix
-    restricted = x.T @ quadric.matrix @ x
-    smin, smax = min_max_singular(restricted)
-    if smax == 0.0 or smin <= RANK_RTOL * smax:
+    if not is_invertible(x.T @ quadric.matrix @ x):
         raise TangentSubspace("subspace is tangent to the quadric")
-    basis = nullspace(x.T @ quadric.matrix)
-    return subspace_from_points([basis[:, k] for k in range(basis.shape[1])])
+    return Subspace(ambient_n=p.ambient_n, coord_matrix=nullspace(x.T @ quadric.matrix))
 
 
 def polar_map(quadric: Quadric) -> NormalizingMap:
@@ -134,8 +126,7 @@ def block_metrics(frame: ProjectiveFrame, quadric: Quadric, m: int) -> BlockMetr
     g_ab = gram[: m + 1, : m + 1]
     g_ij = gram[m + 1 :, m + 1 :]
     for name, block in (("g_ab", g_ab), ("g_ij", g_ij)):
-        smin, smax = min_max_singular(block)
-        if smax == 0.0 or smin <= RANK_RTOL * smax:
+        if not is_invertible(block):
             raise DegenerateBlock(f"{name} block is singular at the working tolerance")
     return BlockMetrics(m=m, n=quadric.n, g_ab=g_ab, g_ij=g_ij, g_ab_inv=np.linalg.inv(g_ab))
 
@@ -157,11 +148,7 @@ class CovariantCurvature:
     def __post_init__(self):
         gd, ld = self.m + 1, self.n - self.m
         expected = (gd, gd, gd, gd, ld, ld, ld, ld)
-        arr = np.ascontiguousarray(np.asarray(self.rc, dtype=float))
-        if arr.shape != expected:
-            raise DimensionMismatch(f"covariant curvature must have shape {expected}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "rc", arr)
+        object.__setattr__(self, "rc", _frozen(self.rc, expected, "covariant curvature"))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.rc), initial=0.0))

@@ -28,21 +28,15 @@ from .errors import (
     SingularFrame,
 )
 from .linalg import (
-    RANK_RTOL,
+    _frozen,
     as_float_matrix,
     column_echelon,
+    is_invertible,
     left_nullspace,
-    min_max_singular,
     rref,
     svd_rank,
     unit_columns,
 )
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class HomogeneousPoint:
             raise ValueError("point coordinates must be finite")
         if np.max(np.abs(v)) == 0.0:
             raise ValueError("the zero vector is not a projective point")
-        object.__setattr__(self, "coords", _freeze(v))
+        object.__setattr__(self, "coords", _frozen(v))
 
     @property
     def ambient_n(self) -> int:
@@ -79,11 +73,11 @@ class Subspace:
             raise DimensionMismatch(
                 f"coordinate matrix has {mat.shape[0]} rows, expected {self.ambient_n + 1}"
             )
+        if svd_rank(mat) != mat.shape[1]:
+            raise DependentPoints("spanning points are linearly dependent")
         if not 1 <= mat.shape[1] <= mat.shape[0]:
             raise DimensionMismatch("subspace dimension out of range for the ambient space")
-        if svd_rank(mat) != mat.shape[1]:
-            raise DependentPoints("coordinate matrix does not have full column rank")
-        object.__setattr__(self, "coord_matrix", _freeze(column_echelon(mat)))
+        object.__setattr__(self, "coord_matrix", _frozen(column_echelon(mat)))
 
     @property
     def dim(self) -> int:
@@ -113,7 +107,7 @@ class TangentialCoords:
             )
         if svd_rank(mat) != mat.shape[0]:
             raise DependentPoints("equation matrix does not have full row rank")
-        object.__setattr__(self, "eq_matrix", _freeze(rref(mat)))
+        object.__setattr__(self, "eq_matrix", _frozen(rref(mat)))
 
 
 @dataclass(frozen=True)
@@ -157,10 +151,9 @@ class ProjectiveFrame:
         k = self.ambient_n + 1
         if mat.shape != (k, k):
             raise DimensionMismatch(f"frame matrix must be {k} x {k}, got {mat.shape}")
-        smin, smax = min_max_singular(mat)
-        if smax == 0.0 or smin <= RANK_RTOL * smax:
+        if not is_invertible(mat):
             raise SingularFrame("frame matrix is singular at the working tolerance")
-        object.__setattr__(self, "frame_matrix", _freeze(mat))
+        object.__setattr__(self, "frame_matrix", _frozen(mat))
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,7 @@ class MaurerCartanForms:
         k = self.ambient_n + 1
         if mat.shape != (k, k):
             raise DimensionMismatch(f"omega must be {k} x {k}, got {mat.shape}")
-        object.__setattr__(self, "omega", _freeze(mat))
+        object.__setattr__(self, "omega", _frozen(mat))
 
 
 def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
@@ -212,10 +205,7 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
         raise DimensionMismatch(
             f"points have {length} coordinates, expected {ambient_n + 1}"
         )
-    mat = np.column_stack(vecs)
-    if svd_rank(mat) != mat.shape[1]:
-        raise DependentPoints("spanning points are linearly dependent")
-    return Subspace(ambient_n=length - 1, coord_matrix=mat)
+    return Subspace(ambient_n=length - 1, coord_matrix=np.column_stack(vecs))
 
 
 def tangential_coordinates(p_star: Subspace) -> TangentialCoords:
@@ -242,6 +232,26 @@ def adapted_frame(pair: MPair) -> ProjectiveFrame:
         [unit_columns(pair.p.coord_matrix), unit_columns(pair.p_star.coord_matrix)]
     )
     return ProjectiveFrame(ambient_n=pair.ambient_n, frame_matrix=frame)
+
+
+def _graph_over_frame(
+    frame: np.ndarray, x: np.ndarray, split: int, unit_top: bool, error: Exception
+) -> np.ndarray:
+    """Write span(x) as a graph over one block of the frame's points.
+
+    Solves frame @ coords = x and splits the rows of coords at split.
+    The unit block (the top rows when unit_top, else the bottom rows)
+    must be invertible, otherwise error is raised.  Returns the other
+    block times the inverse of the unit block, G, so that span(x) is
+    spanned by frame @ (I; G) when unit_top and by frame @ (G; I) when
+    not.
+    """
+    coords = np.linalg.solve(frame, x)
+    top, bottom = coords[:split], coords[split:]
+    unit, other = (top, bottom) if unit_top else (bottom, top)
+    if not is_invertible(unit):
+        raise error
+    return np.linalg.solve(unit.T, other.T).T
 
 
 def maurer_cartan_estimate(

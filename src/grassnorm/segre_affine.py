@@ -18,7 +18,7 @@ import numpy as np
 
 from .connection import curvature_tensor
 from .errors import DimensionMismatch, NotComplementary
-from .linalg import RANK_RTOL, min_max_singular, nullspace
+from .linalg import _frozen, nullspace
 from .normalization import (
     FundamentalTensor,
     lambda_rank,
@@ -29,8 +29,8 @@ from .projective_core import (
     MPair,
     ProjectiveFrame,
     Subspace,
+    _graph_over_frame,
     adapted_frame,
-    subspace_from_points,
 )
 
 
@@ -43,15 +43,8 @@ class AffineChartPoint:
     b: np.ndarray
 
     def __post_init__(self):
-        expected = (self.n - self.m, self.m + 1)
-        arr = np.asarray(self.b, dtype=float)
-        if arr.shape != expected:
-            raise DimensionMismatch(f"chart point must have shape {expected}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("chart point contains non-finite entries")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "b", arr)
+        b = _frozen(self.b, (self.n - self.m, self.m + 1), "chart point", finite=True)
+        object.__setattr__(self, "b", b)
 
 
 def chart_frame(p_star: Subspace) -> ProjectiveFrame:
@@ -60,8 +53,7 @@ def chart_frame(p_star: Subspace) -> ProjectiveFrame:
     The first column group spans the orthogonal complement of p_star's
     canonical columns, the last group spans p_star itself.
     """
-    comp = nullspace(p_star.coord_matrix.T)
-    p0 = subspace_from_points([comp[:, k] for k in range(comp.shape[1])])
+    p0 = Subspace(ambient_n=p_star.ambient_n, coord_matrix=nullspace(p_star.coord_matrix.T))
     return adapted_frame(MPair(p=p0, p_star=p_star))
 
 
@@ -79,12 +71,8 @@ def stereographic_projection(p: Subspace, p_star: Subspace) -> AffineChartPoint:
             f"chart center must have dimension {n - m - 1}, got {p_star.dim}"
         )
     frame = chart_frame(p_star).frame_matrix
-    coords = np.linalg.solve(frame, p.coord_matrix)
-    top, bottom = coords[: m + 1, :], coords[m + 1 :, :]
-    smin, smax = min_max_singular(top)
-    if smax == 0.0 or smin <= RANK_RTOL * smax:
-        raise NotComplementary("subspace meets the chart center")
-    b = np.linalg.solve(top.T, bottom.T).T
+    meets = NotComplementary("subspace meets the chart center")
+    b = _graph_over_frame(frame, p.coord_matrix, m + 1, unit_top=True, error=meets)
     return AffineChartPoint(m=m, n=n, b=b)
 
 
@@ -95,7 +83,7 @@ def inverse_projection(chart_point: AffineChartPoint, p_star: Subspace) -> Subsp
         raise DimensionMismatch("chart center does not match the chart point's shape")
     frame = chart_frame(p_star).frame_matrix
     coords = frame @ np.vstack([np.eye(m + 1), chart_point.b])
-    return subspace_from_points([coords[:, b] for b in range(m + 1)])
+    return Subspace(ambient_n=n, coord_matrix=coords)
 
 
 def flatness_report(m: int, n: int) -> dict:

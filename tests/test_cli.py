@@ -147,6 +147,22 @@ def test_covariant_constancy_check(files, capsys):
     assert rep["residuals"]["is_covariantly_constant"] <= 1e-6
 
 
+def test_covariant_constancy_default_eps_accepts_polar_map(files, capsys):
+    # at eps 1e-5 the residual (about 5e-7) is the rounding floor of the
+    # second difference, far above the eps^2 truncation alone
+    quadric = files["write"]("q2.json", {"n": 3, "matrix": np.diag([1, 2, 0.5, 1]).tolist()})
+    line = files["write"]("line.json", {"n": 3, "points": [[1, 0, 0.3, 0.2], [0, 1, -0.4, 0.1]]})
+    code, rep = invoke(
+        capsys,
+        ["check", "covariant-constancy", "--map", f"polar:{quadric}",
+         "--subspace", line, "--direction", files["direction"]],
+    )
+    assert code == 0
+    assert rep["outputs"]["eps"] == 1e-5
+    assert rep["verdicts"]["is_covariantly_constant"] is True
+    assert rep["residuals"]["is_covariantly_constant"] > 1e-8
+
+
 def test_project_unproject_roundtrip(files, capsys, tmp_path):
     pg = files["write"](
         "pg.json", {"n": 3, "points": [[1, 0, 0.25, 1.0], [0, 1, -0.5, 0.75]]}

@@ -3,6 +3,7 @@ import pytest
 
 from grassnorm import (
     DimensionMismatch,
+    FramingFailure,
     FundamentalTensor,
     MapUndefined,
     MPair,
@@ -103,6 +104,14 @@ def test_map_errors_are_wrapped():
     wrong_dim = constant_map(subspace_from_points([[0, 0, 1, 0]]))
     with pytest.raises(MapUndefined):
         estimate_fundamental_tensor(wrong_dim, pair)
+
+
+def test_complement_off_the_frame_chart_raises_framing_failure():
+    # span(e0, e2) meets p = span(e0, e1), so it is no graph over the
+    # adapted frame's p_star block
+    meets_p = constant_map(subspace_from_points([[1, 0, 0, 0], [0, 0, 1, 0]]))
+    with pytest.raises(FramingFailure):
+        estimate_fundamental_tensor(meets_p, standard_pair())
 
 
 def test_polar_tensor_is_full_rank_and_harmonic():
