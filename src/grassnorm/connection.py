@@ -39,11 +39,10 @@ from .normalization import (
     FundamentalTensor,
     NormalizingMap,
     TangentDirection,
-    _apply_map,
-    estimate_fundamental_tensor,
+    _graph_stack,
     estimate_fundamental_tensor_in_frame,
 )
-from .projective_core import MPair, Subspace, _graph_over_frame, adapted_frame
+from .projective_core import MPair, adapted_frame
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,7 @@ def curvature_tensor(lam: FundamentalTensor) -> CurvatureTensor:
         - np.einsum("ab,li,ecjk->ibceajkl", ig, il, t)
         - np.einsum("ae,ji,bclk->ibceajkl", ig, il, t)
     )
+    r.flags.writeable = False  # fresh, so CurvatureTensor keeps it without a copy
     return CurvatureTensor(m=lam.m, n=lam.n, r=r)
 
 
@@ -157,10 +157,10 @@ def _transported_frame(frame0: np.ndarray, m: int, d: np.ndarray, t: float, nu: 
     canonicalization enters and the path has no pivot or sign jumps.
     """
     n = frame0.shape[0] - 1
-    base = frame0[:, : m + 1] + t * (frame0[:, m + 1 :] @ d)
-    star_t = _apply_map(nu, Subspace(ambient_n=n, coord_matrix=base), n, m)
+    b = t * d
+    base = frame0[:, : m + 1] + frame0[:, m + 1 :] @ b
     off_chart = FramingFailure("complement left the chart of the base frame")
-    graph = _graph_over_frame(frame0, star_t.coord_matrix, m + 1, unit_top=False, error=off_chart)
+    graph = _graph_stack(nu, frame0, m, b[None], off_chart)[0]
     comp = frame0 @ np.vstack([graph, np.eye(n - m)])
     return np.hstack([base, comp])
 
@@ -202,7 +202,7 @@ def _covariant_derivative(
         raise ValueError("direction must be nonzero")
 
     frame0 = adapted_frame(pair).frame_matrix
-    lam0 = estimate_fundamental_tensor(nu, pair, eps=eps).lam
+    lam0 = estimate_fundamental_tensor_in_frame(nu, frame0, m, eps=eps)
 
     lams = []
     frames = []

@@ -26,6 +26,9 @@ def as_float_matrix(a, name: str = "matrix") -> np.ndarray:
 def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndarray:
     """Read-only C-contiguous float array of a.
 
+    A writeable array that shares memory with the caller's a is copied,
+    so freezing never changes the caller's array and later writes to it
+    cannot reach the frozen one; an array already read-only is kept.
     Raises DimensionMismatch when shape is given and differs from the
     array's, and ValueError when finite is set and an entry is not.
     """
@@ -35,6 +38,8 @@ def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndar
     if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr = np.ascontiguousarray(arr)
+    if arr.flags.writeable and isinstance(a, np.ndarray) and np.may_share_memory(arr, a):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -114,16 +119,20 @@ def unit_columns(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def min_max_singular(a: np.ndarray) -> tuple[float, float]:
+def min_max_singular(a: np.ndarray):
+    """Smallest and largest singular value of a, or of each matrix of a
+    (..., k, l) stack."""
     s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-    if s.size == 0:
+    if s.shape[-1] == 0:
         return 0.0, 0.0
-    return float(s[-1]), float(s[0])
+    return s[..., -1], s[..., 0]
 
 
 def is_invertible(a: np.ndarray, rtol: float = RANK_RTOL) -> bool:
+    """True when a is square with smin > rtol * smax, or a is a
+    (..., k, k) stack and every matrix in it is."""
     a = np.asarray(a, dtype=float)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
     smin, smax = min_max_singular(a)
-    return smax > 0.0 and smin > rtol * smax
+    return bool(np.all((smax > 0.0) & (smin > rtol * smax)))

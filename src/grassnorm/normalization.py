@@ -96,20 +96,43 @@ class TangentDirection:
 
 @dataclass(frozen=True)
 class NormalizingMap:
-    """A map assigning to each m-subspace a complementary subspace."""
+    """A map assigning to each m-subspace a complementary subspace.
+
+    graph, when given, is the same map in graph coordinates over a frame
+    F = (F_top | F_bot) split after its first m + 1 columns:
+    graph(frame, m, b) takes a stack b of shape (k, n - m, m + 1), the
+    subspaces span(F_top + F_bot b), and returns the stack c of shape
+    (k, m + 1, n - m) with nu(span(F_top + F_bot b)) = span(F_top c + F_bot).
+    It raises FramingFailure where an image is no such graph.  The
+    estimators use it in place of one fn call per displaced subspace.
+    """
 
     fn: Callable[[Subspace], Subspace]
     tag: str
+    graph: Callable[[np.ndarray, int, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, p: Subspace) -> Subspace:
         return self.fn(p)
 
 
+def _check_complement(star: Subspace, n: int, m: int):
+    if star.ambient_n != n or star.dim != n - m - 1:
+        raise MapUndefined("normalizing map returned a wrong-dimensional subspace")
+
+
 def constant_map(p_star: Subspace) -> NormalizingMap:
     """Normalization sending every subspace to the same complement."""
+
+    def graph(frame, m, b):
+        _check_complement(p_star, frame.shape[0] - 1, m)
+        off_frame = FramingFailure("the constant complement is no graph over the frame")
+        c = _graph_over_frame(frame, p_star.coord_matrix, m + 1, unit_top=False, error=off_frame)
+        return np.broadcast_to(c, (len(b),) + c.shape)
+
     return NormalizingMap(
         fn=lambda p: p_star,
         tag=f"constant:n{p_star.ambient_n}:dim{p_star.dim}",
+        graph=graph,
     )
 
 
@@ -164,20 +187,43 @@ def is_asymptotic_direction(direction: TangentDirection, tol: float = 1e-9) -> b
     return float(np.max(minors, initial=0.0)) <= tol * scale * scale
 
 
-def _displaced_subspace(frame: np.ndarray, m: int, beta: int, j: int, step: float) -> Subspace:
-    cols = frame[:, : m + 1].copy()
-    cols[:, beta] = cols[:, beta] + step * frame[:, m + 1 + j]
-    return Subspace(ambient_n=frame.shape[0] - 1, coord_matrix=cols)
-
-
 def _apply_map(nu: NormalizingMap, p: Subspace, n: int, m: int) -> Subspace:
     try:
         star = nu(p)
     except Exception as exc:
         raise MapUndefined(f"normalizing map failed at a displaced subspace: {exc}") from exc
-    if star.ambient_n != n or star.dim != n - m - 1:
-        raise MapUndefined("normalizing map returned a wrong-dimensional subspace")
+    _check_complement(star, n, m)
     return star
+
+
+def _graph_stack(
+    nu: NormalizingMap, frame: np.ndarray, m: int, b: np.ndarray, off_frame: FramingFailure
+) -> np.ndarray:
+    """nu in graph coordinates over frame: the stack c with
+    nu(span(F_top + F_bot b[k])) = span(F_top c[k] + F_bot).
+
+    Uses nu.graph when the map has one.  Otherwise each displaced
+    subspace is built, mapped by nu and written as a graph over the
+    frame, one at a time.  Failures of the map raise MapUndefined and
+    images that are no graph over the frame raise off_frame.
+    """
+    if nu.graph is None:
+        n = frame.shape[0] - 1
+        graphs = []
+        for x in frame[:, : m + 1] + frame[:, m + 1 :] @ b:
+            star = _apply_map(nu, Subspace(ambient_n=n, coord_matrix=x), n, m)
+            graphs.append(
+                _graph_over_frame(frame, star.coord_matrix, m + 1, unit_top=False, error=off_frame)
+            )
+        return np.stack(graphs)
+    try:
+        return nu.graph(frame, m, b)
+    except FramingFailure as exc:
+        raise off_frame from exc
+    except MapUndefined:
+        raise
+    except Exception as exc:
+        raise MapUndefined(f"normalizing map failed at a displaced subspace: {exc}") from exc
 
 
 def estimate_fundamental_tensor_in_frame(
@@ -191,19 +237,16 @@ def estimate_fundamental_tensor_in_frame(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    n = frame.shape[0] - 1
-    lam = np.zeros((m + 1, m + 1, n - m, n - m))
+    gd, ld = m + 1, frame.shape[0] - 1 - m
+    rho = gd * ld
+    # unit[beta * ld + j] = E_{j, beta}, the move of p's point beta toward point j
+    unit = np.eye(rho).reshape(rho, gd, ld).transpose(0, 2, 1)
+    # displacements +eps, -eps of each direction in turn
+    b = (unit[:, None] * np.array([eps, -eps])[:, None, None]).reshape(2 * rho, ld, gd)
     off_frame = FramingFailure("displaced complement is not transverse to the reference frame")
-    for beta in range(m + 1):
-        for j in range(n - m):
-            tops = []
-            for step in (eps, -eps):
-                p_disp = _displaced_subspace(frame, m, beta, j, step)
-                x = _apply_map(nu, p_disp, n, m).coord_matrix
-                # span(x) = span(frame @ (C; I)); keep C
-                tops.append(_graph_over_frame(frame, x, m + 1, unit_top=False, error=off_frame))
-            lam[:, beta, :, j] = (tops[0] - tops[1]) / (2.0 * eps)
-    return lam
+    c = _graph_stack(nu, frame, m, b, off_frame).reshape(rho, 2, gd, ld)
+    diff = (c[:, 0] - c[:, 1]) / (2.0 * eps)  # diff[beta * ld + j][alpha, i]
+    return diff.reshape(gd, ld, gd, ld).transpose(2, 0, 3, 1)
 
 
 def estimate_fundamental_tensor(

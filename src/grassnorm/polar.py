@@ -28,6 +28,7 @@ from .connection import CurvatureTensor, ricci_tensor
 from .errors import (
     DegenerateBlock,
     DimensionMismatch,
+    FramingFailure,
     NotPolarAdapted,
     TangentSubspace,
 )
@@ -98,10 +99,33 @@ def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
 
 
 def polar_map(quadric: Quadric) -> NormalizingMap:
-    """Normalizing map p -> polar_conjugate(p, quadric)."""
+    """Normalizing map p -> polar_conjugate(p, quadric).
+
+    Its graph action solves every displaced subspace X = F_top + F_bot b
+    at once: the polar F_top c + F_bot is conjugate to X exactly when
+    (X^T G F_top) c = -(X^T G F_bot).  Raises TangentSubspace when some
+    X^T G X is singular and FramingFailure when some X^T G F_top is,
+    i.e. when that polar meets span(F_top).
+    """
+    g = quadric.matrix
+
+    def graph(frame, m, b):
+        if frame.shape[0] != quadric.n + 1:
+            raise DimensionMismatch("subspace and quadric live in different ambient spaces")
+        top, bot = frame[:, : m + 1], frame[:, m + 1 :]
+        x = top + bot @ b
+        xg = x.transpose(0, 2, 1) @ g
+        if not is_invertible(xg @ x):
+            raise TangentSubspace("subspace is tangent to the quadric")
+        xg_top = xg @ top
+        if not is_invertible(xg_top):
+            raise FramingFailure("polar complement meets the span of the frame's first block")
+        return -np.linalg.solve(xg_top, xg @ bot)
+
     return NormalizingMap(
         fn=lambda p: polar_conjugate(p, quadric),
         tag=f"polar:n{quadric.n}",
+        graph=graph,
     )
 
 
@@ -168,6 +192,7 @@ def covariant_curvature(bm: BlockMetrics) -> CovariantCurvature:
         np.einsum("ab,ce,ijkl->abceijkl", gi, gi, term_latin)
         + np.einsum("abce,ij,kl->abceijkl", term_greek, gl, gl)
     )
+    rc.flags.writeable = False  # fresh, so CovariantCurvature keeps it without a copy
     return CovariantCurvature(m=bm.m, n=bm.n, rc=rc)
 
 
@@ -177,6 +202,7 @@ def adjust_curvature_indices(curv: CurvatureTensor, bm: BlockMetrics) -> Covaria
     if (curv.m, curv.n) != (bm.m, bm.n):
         raise DimensionMismatch("curvature and block metrics have different shapes")
     rc = np.einsum("aA,iI,IbceAjkl->abceijkl", bm.g_ab_inv, bm.g_ij, curv.r)
+    rc.flags.writeable = False  # fresh, so CovariantCurvature keeps it without a copy
     return CovariantCurvature(m=bm.m, n=bm.n, rc=rc)
 
 

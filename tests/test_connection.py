@@ -4,6 +4,7 @@ import pytest
 from grassnorm import (
     DimensionMismatch,
     MPair,
+    NormalizingMap,
     Quadric,
     TangentDirection,
     adapted_frame,
@@ -135,3 +136,21 @@ def test_covariant_derivative_input_validation():
         covariant_derivative_estimate(
             polar_map(q), pair, TangentDirection(m=1, n=3, d=np.eye(2)), eps=0.0
         )
+
+
+def test_covariant_derivative_batched_polar_matches_the_adapter_path():
+    # both estimate the same quantity; they differ by rounding, whose floor
+    # in a second difference is about u / eps^2
+    rng = np.random.default_rng(49)
+    eps = 1e-3
+    u = np.finfo(float).eps
+    for m, n in ((1, 3), (1, 4), (2, 5), (3, 7), (4, 9)):
+        q = random_quadric(rng, n)
+        pair = random_polar_pair(rng, q, m)
+        d = random_direction(rng, m, n)
+        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q), tag="user-polar")
+        batched = covariant_derivative_estimate(polar_map(q), pair, d, eps=eps)
+        adapter = covariant_derivative_estimate(user, pair, d, eps=eps)
+        lam = polar_lambda(block_metrics(adapted_frame(pair), q, m)).lam
+        bound = 100.0 * (eps**2 + u / eps**2) * max(1.0, float(np.max(np.abs(lam))))
+        assert np.max(np.abs(batched - adapter)) <= bound

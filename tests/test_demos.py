@@ -15,3 +15,4 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out.strip()
+    assert not any(tmp_path.iterdir()), "the demo left files in the temp directory"

@@ -9,10 +9,12 @@ from grassnorm import (
     MPair,
     NormalizingMap,
     Quadric,
+    Subspace,
     TangentDirection,
     adapted_frame,
     block_metrics,
     constant_map,
+    covariant_derivative_estimate,
     estimate_fundamental_tensor,
     estimate_fundamental_tensor_in_frame,
     harmonic_defect,
@@ -21,6 +23,7 @@ from grassnorm import (
     isotropic_dimension,
     lambda_rank,
     metric_rank,
+    polar_conjugate,
     polar_lambda,
     polar_map,
     subspace_from_points,
@@ -29,6 +32,7 @@ from grassnorm import (
 
 from _gen import (
     pair_symmetrized,
+    random_direction,
     random_lambda,
     random_polar_pair,
     random_quadric,
@@ -181,3 +185,77 @@ def test_isotropic_dimension_counts_metric_kernel():
     g = symmetrize_metric(ft)
     assert metric_rank(g) + isotropic_dimension(g) == ft.rho
     assert isotropic_dimension(g) == ft.rho - 1
+
+
+def user_polar_map(q):
+    """polar_map(q) as a plain callable, so the estimators take the adapter path."""
+    return NormalizingMap(fn=lambda p: polar_conjugate(p, q), tag="user-polar")
+
+
+def test_batched_polar_graph_matches_the_adapter_path():
+    rng = np.random.default_rng(38)
+    for m, n in ((1, 3), (1, 4), (2, 5), (3, 7), (4, 9)):
+        for _ in range(3):
+            q = random_quadric(rng, n)
+            pair = random_polar_pair(rng, q, m)
+            batched = estimate_fundamental_tensor(polar_map(q), pair).lam
+            adapter = estimate_fundamental_tensor(user_polar_map(q), pair).lam
+            scale = max(1.0, float(np.max(np.abs(adapter))))
+            assert np.max(np.abs(batched - adapter)) <= 1e-9 * scale
+
+
+def test_tangent_displacement_raises_map_undefined_on_both_paths():
+    # the displaced line span(e0 + 0.5 e2, e1) is tangent to this quadric,
+    # while span(e0, e1) itself is not
+    q = Quadric(n=3, matrix=np.diag([1.0, 1.0, -4.0, 1.0]))
+    frame = np.eye(4)
+    for nu in (polar_map(q), user_polar_map(q)):
+        with pytest.raises(MapUndefined):
+            estimate_fundamental_tensor_in_frame(nu, frame, 1, eps=0.5)
+
+
+def test_off_chart_displaced_polar_raises_framing_failure_on_both_paths():
+    # in this frame the displacement eps = 0.5 of point 0 toward point 2 gives
+    # span(e2, e1), whose polar span(e0, e3) meets span(e0, e1)
+    q = Quadric(n=3, matrix=np.eye(4))
+    frame = np.eye(4)
+    frame[0, 2] = -2.0
+    for nu in (polar_map(q), user_polar_map(q)):
+        with pytest.raises(FramingFailure):
+            estimate_fundamental_tensor_in_frame(nu, frame, 1, eps=0.5)
+
+
+def test_constant_map_errors_on_the_adapter_path_match_the_graph_path():
+    pair = standard_pair()
+    meets_p = subspace_from_points([[1, 0, 0, 0], [0, 0, 1, 0]])
+    wrong_dim = subspace_from_points([[0, 0, 1, 0]])
+    for p_star, error in ((meets_p, FramingFailure), (wrong_dim, MapUndefined)):
+        for nu in (constant_map(p_star), NormalizingMap(fn=lambda p: p_star, tag="user")):
+            with pytest.raises(error):
+                estimate_fundamental_tensor(nu, pair)
+
+
+def test_polar_estimators_build_no_subspace_per_displacement(monkeypatch):
+    built = []
+    post_init = Subspace.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    rng = np.random.default_rng(39)
+    counts = {}
+    for m, n in ((1, 3), (3, 7)):
+        q = random_quadric(rng, n)
+        pair = random_polar_pair(rng, q, m)
+        d = random_direction(rng, m, n)
+        monkeypatch.setattr(Subspace, "__post_init__", counting)
+        for nu in (polar_map(q), user_polar_map(q)):
+            built.clear()
+            estimate_fundamental_tensor(nu, pair)
+            covariant_derivative_estimate(nu, pair, d, eps=1e-3)
+            counts[(m, n, nu.tag)] = len(built)
+        monkeypatch.undo()
+    # rho is 4 at G(1,3) and 16 at G(3,7)
+    assert counts[(1, 3, "polar:n3")] == counts[(3, 7, "polar:n7")]
+    assert counts[(3, 7, "user-polar")] > counts[(1, 3, "user-polar")]
