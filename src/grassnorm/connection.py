@@ -25,6 +25,13 @@ A normalization is homogeneous when its tensor is covariantly constant;
 an algebraic consequence is the vanishing of the eight-term quadratic
 expression checked by homogeneity_residual.  The covariant derivative
 itself is estimated by finite differences along a tangent direction.
+
+The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
+structural zeros.  curvature_tensor writes each term onto its Kronecker
+diagonal of one zeroed result, and homogeneity_residual works one first
+Greek index at a time, so neither makes a second array of that size.
+An array over linalg.DENSE_BUDGET_BYTES raises TensorTooLarge before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure
-from .linalg import _frozen
+from .linalg import _dense_zeros, _frozen
 from .normalization import (
     FundamentalTensor,
     NormalizingMap,
@@ -87,19 +94,23 @@ def curvature_tensor(lam: FundamentalTensor) -> CurvatureTensor:
     """Curvature of the connection induced by lam.
 
     Antisymmetric under the simultaneous swap (gamma, k) <-> (eps, l) by
-    construction.
+    construction.  Each term is lam / 2 on one Kronecker diagonal, so the
+    result starts at zero and each term is added onto its diagonal: no
+    array of the result's size is made besides the result.  Raises
+    TensorTooLarge, before allocating, when the result would exceed
+    linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = lam.m + 1, lam.n - lam.m
-    ig = np.eye(gd)
-    il = np.eye(ld)
-    t = lam.lam
-    # subscripts: a=alpha b=beta c=gamma e=eps (Greek), i j k l (Latin)
-    r = 0.5 * (
-        np.einsum("ab,ki,cejl->ibceajkl", ig, il, t)
-        + np.einsum("ac,ji,bekl->ibceajkl", ig, il, t)
-        - np.einsum("ab,li,ecjk->ibceajkl", ig, il, t)
-        - np.einsum("ae,ji,bclk->ibceajkl", ig, il, t)
-    )
+    r = _dense_zeros((ld, gd, gd, gd, gd, ld, ld, ld), "curvature tensor")
+    h = 0.5 * lam.lam
+    # indexing both slots of each delta with the (i, alpha) grid picks, for
+    # every (i, alpha), the four-axis block on which that term is nonzero
+    i = np.arange(ld)[:, None]
+    a = np.arange(gd)[None, :]
+    r[i, a, :, :, a, :, i, :] += h                        # d(a,b) d(k,i) lam[c,e,j,l]
+    r[i, :, a, :, a, i, :, :] += h                        # d(a,c) d(j,i) lam[b,e,k,l]
+    r[i, a, :, :, a, :, :, i] -= h.transpose(1, 0, 2, 3)  # d(a,b) d(l,i) lam[e,c,j,k]
+    r[i, :, :, a, a, i, :, :] -= h.transpose(0, 1, 3, 2)  # d(a,e) d(j,i) lam[b,c,l,k]
     r.flags.writeable = False  # fresh, so CurvatureTensor keeps it without a copy
     return CurvatureTensor(m=lam.m, n=lam.n, r=r)
 
@@ -127,20 +138,37 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
     normalizations such as the polar ones; order max(lam)^2 for generic
     tensors.  The expression is quadratic in lam, so compare against
     tol * max(lam)^2.
+
+    Evaluated one first Greek index alpha at a time: each of the eight
+    terms is a transpose of the outer product lam[alpha] (x) lam (terms 4
+    and 8 because products commute), so a block of 1 / (m + 1) of the
+    full expression is summed from views of that product.  Raises
+    TensorTooLarge, before allocating, when such a block would exceed
+    linalg.DENSE_BUDGET_BYTES.
     """
+    gd, ld = lam.m + 1, lam.n - lam.m
     t = lam.lam
-    # subscripts as in curvature_tensor; free order a b c e i j k l
-    total = (
-        np.einsum("abik,cejl->abceijkl", t, t)
-        + np.einsum("abkj,ceil->abceijkl", t, t)
-        + np.einsum("acij,bekl->abceijkl", t, t)
-        + np.einsum("cbij,aekl->abceijkl", t, t)
-        - np.einsum("abil,ecjk->abceijkl", t, t)
-        - np.einsum("ablj,ecik->abceijkl", t, t)
-        - np.einsum("aeij,bclk->abceijkl", t, t)
-        - np.einsum("ebij,aclk->abceijkl", t, t)
-    )
-    return float(np.max(np.abs(total), initial=0.0))
+    # o[x0, .., x6] = t[alpha, x0, x1, x2] * t[x3, x4, x5, x6]; block axes b c e i j k l.
+    # Both are reused for every alpha; a C-ordered block keeps the eight
+    # strided adds in one iteration order.
+    o = _dense_zeros((gd, ld, ld, gd, gd, ld, ld), "homogeneity block")
+    block = _dense_zeros((gd, gd, gd, ld, ld, ld, ld), "homogeneity block")
+    peaks = []
+    for t_alpha in t:
+        np.multiply.outer(t_alpha, t, out=o)
+        np.add(
+            o.transpose(0, 3, 4, 1, 5, 2, 6),  # t[a,b,i,k] t[c,e,j,l]
+            o.transpose(0, 3, 4, 5, 2, 1, 6),  # t[a,b,k,j] t[c,e,i,l]
+            out=block,
+        )
+        block += o.transpose(3, 0, 4, 1, 2, 5, 6)  # t[a,c,i,j] t[b,e,k,l]
+        block += o.transpose(4, 3, 0, 5, 6, 1, 2)  # t[c,b,i,j] t[a,e,k,l]
+        block -= o.transpose(0, 4, 3, 1, 5, 6, 2)  # t[a,b,i,l] t[e,c,j,k]
+        block -= o.transpose(0, 4, 3, 5, 2, 6, 1)  # t[a,b,l,j] t[e,c,i,k]
+        block -= o.transpose(3, 4, 0, 1, 2, 6, 5)  # t[a,e,i,j] t[b,c,l,k]
+        block -= o.transpose(4, 0, 3, 5, 6, 2, 1)  # t[e,b,i,j] t[a,c,l,k]
+        peaks.append(np.max(np.abs(block, out=block)))
+    return float(np.max(peaks, initial=0.0))
 
 
 def is_homogeneous(lam: FundamentalTensor, tol: float = 1e-9) -> bool:

@@ -51,3 +51,15 @@ class DegenerateBlock(GeometryError):
 
 class NotComplementary(GeometryError):
     """A subspace meets the chart center, so the chart is undefined."""
+
+
+class TensorTooLarge(GeometryError):
+    """A dense result would exceed the memory budget; nothing was allocated.
+
+    needed and budget are in bytes.
+    """
+
+    def __init__(self, what: str, needed: int, budget: int):
+        super().__init__(f"{what} needs {needed} bytes, over the dense budget of {budget} bytes")
+        self.needed = needed
+        self.budget = budget

@@ -6,12 +6,17 @@ canonicalization uses partial pivoting with the same relative scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TensorTooLarge
 
 # Singular values at or below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-9
+
+# Dense float results larger than this many bytes are refused, not allocated.
+DENSE_BUDGET_BYTES = 2**30
 
 
 def as_float_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -42,6 +47,15 @@ def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndar
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _dense_zeros(shape: tuple, what: str) -> np.ndarray:
+    """Zeroed float array of the given shape; raises TensorTooLarge,
+    before allocating anything, when it would exceed DENSE_BUDGET_BYTES."""
+    needed = 8 * math.prod(shape)
+    if needed > DENSE_BUDGET_BYTES:
+        raise TensorTooLarge(what, needed, DENSE_BUDGET_BYTES)
+    return np.zeros(shape)
 
 
 def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
@@ -108,14 +122,17 @@ def column_echelon(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 def unit_columns(a: np.ndarray) -> np.ndarray:
     """Rescale columns to unit length with first nonzero entry positive."""
     a = np.array(a, dtype=float)
-    for j in range(a.shape[1]):
-        norm = np.linalg.norm(a[:, j])
-        if norm == 0.0:
-            raise ValueError("zero column cannot be normalized")
-        a[:, j] /= norm
-        nz = np.nonzero(np.abs(a[:, j]) > 1e-14)[0]
-        if nz.size and a[nz[0], j] < 0:
-            a[:, j] = -a[:, j]
+    # a (1 x n) @ (n x 1) product is the dot product np.linalg.norm takes of
+    # one contiguous column, so each norm has the bits of that norm
+    cols = np.ascontiguousarray(a.T)
+    norms = np.sqrt(cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
+    if np.any(norms == 0.0):
+        raise ValueError("zero column cannot be normalized")
+    a /= norms
+    big = np.abs(a) > 1e-14
+    first = a[np.argmax(big, axis=0), np.arange(a.shape[1])]
+    flip = big.any(axis=0) & (first < 0)
+    a[:, flip] = -a[:, flip]
     return a
 
 

@@ -15,7 +15,11 @@ tensor equals (n - 1)/2 times g_ab_inv (x) g_ij.
 The fully covariant curvature (Greek indices raised with g_ab_inv,
 Latin lowered with g_ij) has the closed form implemented by
 covariant_curvature; adjust_curvature_indices performs the same raising
-and lowering on a curvature tensor computed from any lam.
+and lowering on a curvature tensor computed from any lam.  Both fill one
+rho^4 result in place: covariant_curvature as a rank-2 matrix product,
+adjust_curvature_indices one (beta, gamma, eps) block at a time.
+covariant_curvature raises TensorTooLarge, before allocating, when its
+result would exceed linalg.DENSE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     NotPolarAdapted,
     TangentSubspace,
 )
-from .linalg import _frozen, as_float_matrix, is_invertible, nullspace
+from .linalg import _dense_zeros, _frozen, as_float_matrix, is_invertible, nullspace
 from .normalization import FundamentalTensor, NormalizingMap
 from .projective_core import ProjectiveFrame, Subspace
 
@@ -184,24 +188,43 @@ def covariant_curvature(bm: BlockMetrics) -> CovariantCurvature:
     rc = ((g_ab_inv[a,b] g_ab_inv[c,e]) (g_ij[i,l] g_ij[j,k] - g_ij[i,k] g_ij[j,l])
           + (g_ab_inv[a,e] g_ab_inv[b,c] - g_ab_inv[a,c] g_ab_inv[b,e])
             g_ij[i,j] g_ij[k,l]) / 2
+
+    Both terms are a Greek tensor times a Latin one, so rc, flattened to
+    (a b c e) x (i j k l), is one rank-2 matrix product written straight
+    into the result.  Raises TensorTooLarge, before allocating, when the
+    result would exceed linalg.DENSE_BUDGET_BYTES.
     """
+    gd, ld = bm.m + 1, bm.n - bm.m
+    rc = _dense_zeros((gd, gd, gd, gd, ld, ld, ld, ld), "covariant curvature")
     gi, gl = bm.g_ab_inv, bm.g_ij
     term_latin = np.einsum("il,jk->ijkl", gl, gl) - np.einsum("ik,jl->ijkl", gl, gl)
     term_greek = np.einsum("ae,bc->abce", gi, gi) - np.einsum("ac,be->abce", gi, gi)
-    rc = 0.5 * (
-        np.einsum("ab,ce,ijkl->abceijkl", gi, gi, term_latin)
-        + np.einsum("abce,ij,kl->abceijkl", term_greek, gl, gl)
-    )
+    greek = 0.5 * np.stack([np.multiply.outer(gi, gi), term_greek]).reshape(2, -1)
+    latin = np.stack([term_latin, np.multiply.outer(gl, gl)]).reshape(2, -1)
+    np.matmul(greek.T, latin, out=rc.reshape(gd**4, ld**4))
     rc.flags.writeable = False  # fresh, so CovariantCurvature keeps it without a copy
     return CovariantCurvature(m=bm.m, n=bm.n, rc=rc)
 
 
 def adjust_curvature_indices(curv: CurvatureTensor, bm: BlockMetrics) -> CovariantCurvature:
     """Raise the lower Greek index with g_ab_inv and lower the upper
-    Latin index with g_ij, giving the fully covariant curvature."""
+    Latin index with g_ij, giving the fully covariant curvature.
+
+    Both changes act on the (alpha, i) pair alone, as one square matrix
+    kron[(a, i), (I, A)] = g_ab_inv[a, A] g_ij[i, I] of side
+    (m + 1)(n - m); it is applied to the block of each (beta, gamma, eps)
+    in turn, so no temporary is near the result's size.  The result is
+    the size of curv.r, so it needs no budget check.
+    """
     if (curv.m, curv.n) != (bm.m, bm.n):
         raise DimensionMismatch("curvature and block metrics have different shapes")
-    rc = np.einsum("aA,iI,IbceAjkl->abceijkl", bm.g_ab_inv, bm.g_ij, curv.r)
+    gd, ld = bm.m + 1, bm.n - bm.m
+    kron = np.einsum("aA,iI->aiIA", bm.g_ab_inv, bm.g_ij).reshape(gd * ld, ld * gd)
+    rc = np.empty((gd, gd, gd, gd, ld, ld, ld, ld))
+    for b, c, e in np.ndindex(gd, gd, gd):
+        # r[I, b, c, e, A, j, k, l] -> rc[a, b, c, e, i, j, k, l]
+        block = kron @ curv.r[:, b, c, e].reshape(ld * gd, ld**3)
+        rc[:, b, c, e] = block.reshape(gd, ld, ld, ld, ld)
     rc.flags.writeable = False  # fresh, so CovariantCurvature keeps it without a copy
     return CovariantCurvature(m=bm.m, n=bm.n, rc=rc)
 

@@ -228,9 +228,7 @@ def adapted_frame(pair: MPair) -> ProjectiveFrame:
     """
     if not pair_is_valid(pair):
         raise InvalidPair("pair members do not span the ambient space")
-    frame = np.hstack(
-        [unit_columns(pair.p.coord_matrix), unit_columns(pair.p_star.coord_matrix)]
-    )
+    frame = unit_columns(np.hstack([pair.p.coord_matrix, pair.p_star.coord_matrix]))
     return ProjectiveFrame(ambient_n=pair.ambient_n, frame_matrix=frame)
 
 

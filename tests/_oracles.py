@@ -64,3 +64,43 @@ def contract_curvature_to_ricci(r, m, n):
                             total += r[i, b, c, a, a, j, k, i]
                     ric[b, c, j, k] = total
     return ric
+
+
+def brute_force_homogeneity(ft):
+    """Max-abs of the eight-term homogeneity expression, one
+    (alpha, beta, gamma, eps) at a time with each term's Latin block
+    written out as its own outer product."""
+    m = ft.m
+    lam = ft.lam
+    worst = 0.0
+    for a in range(m + 1):
+        for b in range(m + 1):
+            for c in range(m + 1):
+                for e in range(m + 1):
+                    h = (
+                        np.einsum("ik,jl->ijkl", lam[a, b], lam[c, e])
+                        + np.einsum("kj,il->ijkl", lam[a, b], lam[c, e])
+                        + np.einsum("ij,kl->ijkl", lam[a, c], lam[b, e])
+                        + np.einsum("ij,kl->ijkl", lam[c, b], lam[a, e])
+                        - np.einsum("il,jk->ijkl", lam[a, b], lam[e, c])
+                        - np.einsum("lj,ik->ijkl", lam[a, b], lam[e, c])
+                        - np.einsum("ij,lk->ijkl", lam[a, e], lam[b, c])
+                        - np.einsum("ij,lk->ijkl", lam[e, b], lam[a, c])
+                    )
+                    worst = max(worst, float(np.max(np.abs(h))))
+    return worst
+
+
+def brute_force_adjust(r, g_ab_inv, g_ij):
+    """rc[a][b][c][e][i][j][k][l] = sum over A, I of
+    g_ab_inv[a][A] g_ij[i][I] r[I][b][c][e][A][j][k][l], one (a, i, A, I)
+    term at a time."""
+    nm, m1 = r.shape[0], r.shape[1]
+    rc = np.zeros((m1, m1, m1, m1, nm, nm, nm, nm))
+    for a in range(m1):
+        for i in range(nm):
+            for big_a in range(m1):
+                for big_i in range(nm):
+                    coeff = g_ab_inv[a, big_a] * g_ij[i, big_i]
+                    rc[a, :, :, :, i] += coeff * r[big_i, :, :, :, big_a]
+    return rc

@@ -220,3 +220,16 @@ def test_tangent_subspace_reported_as_error(files, capsys):
     )
     assert run(["polar", "--quadric", cone, "--subspace", touching]) == 2
     capsys.readouterr()
+
+
+def test_dense_result_over_budget_exits_two(files, capsys):
+    # identity quadric on P^41: the covariant curvature of a 20-plane would
+    # hold 21^8 floats, about 300 GB, so it is refused before allocation
+    n = 41
+    quadric = files["write"]("q41.json", {"n": n, "matrix": np.eye(n + 1).tolist()})
+    plane = files["write"]("p20.json", {"n": n, "points": np.eye(n + 1)[:21].tolist()})
+    code = run(["polar", "--quadric", quadric, "--subspace", plane, "--emit", "curvature"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"needs {8 * 21**8} bytes" in captured.err
