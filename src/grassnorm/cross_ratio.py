@@ -1,15 +1,15 @@
 """Cross-ratio of two m-pairs and the induced log distance.
 
-For pairs (p_a, p_star_a) and (p_b, p_star_b) in general position the
-cross-ratio matrix is
+For valid pairs (p_a, p_star_a) and (p_b, p_star_b) the cross-ratio
+matrix is
 
     W = X (U X)^-1 (U Y) (V Y)^-1 V
 
-where X, Y are coordinate matrices of p_a, p_b and U, V are tangential
-(equation) matrices of p_star_a, p_star_b.  W is independent of all
-representative choices, and under a projective change of coordinates T
-it transforms by conjugation, W -> T W T^-1, so its trace is a
-projective invariant of the two pairs.
+where X, Y are orthonormal bases of p_a, p_b and U, V orthonormal
+tangential (equation) matrices of p_star_a, p_star_b.  W is independent
+of all representative choices, and under a projective change of
+coordinates T it transforms by conjugation, W -> T W T^-1, so its trace
+is a projective invariant of the two pairs.
 
 For coinciding pairs W is the projector onto p along p_star and its
 trace equals m + 1.  For infinitesimally close pairs the deviation of
@@ -24,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidPair,
-    NonPositiveTrace,
-    NotInGeneralPosition,
-)
-from .linalg import is_invertible
-from .projective_core import MPair, pair_is_valid, tangential_coordinates
+from .errors import DimensionMismatch, InvalidPair, NonPositiveTrace
+from .linalg import is_invertible, left_nullspace
+from .projective_core import MPair
 
 
 @dataclass(frozen=True)
@@ -47,35 +42,29 @@ class CrossRatioMatrix:
         return float(np.trace(self.w))
 
 
-def _checked_pair(pair: MPair, label: str) -> MPair:
-    if not pair_is_valid(pair):
+def _checked_pair(pair: MPair, label: str):
+    """Orthonormal basis X of p, orthonormal equation rows U of p_star,
+    and U X.  U X is invertible exactly when p and p_star span the
+    ambient space, so this tests the pair on orthonormal bases, not on
+    its stored columns; raises InvalidPair when it is singular."""
+    x = np.linalg.qr(pair.p.coord_matrix)[0]
+    u = left_nullspace(pair.p_star.coord_matrix)
+    ux = u @ x
+    if not is_invertible(ux):
         raise InvalidPair(f"{label} is not a valid pair")
-    return pair
+    return x, u, ux
 
 
 def cross_ratio(pair_a: MPair, pair_b: MPair) -> CrossRatioMatrix:
     """Cross-ratio matrix W of two m-pairs.
 
-    Raises NotInGeneralPosition when p_a meets p_star_a's equations
-    degenerately against p_b, i.e. when U X or V Y is singular.
+    U X and V Y are invertible exactly when both pairs are valid, so
+    W is defined for every two valid pairs; raises InvalidPair otherwise.
     """
     if pair_a.ambient_n != pair_b.ambient_n or pair_a.m != pair_b.m:
         raise DimensionMismatch("pairs must share ambient dimension and subspace dimension")
-    _checked_pair(pair_a, "pair_a")
-    _checked_pair(pair_b, "pair_b")
-
-    x = pair_a.p.coord_matrix
-    y = pair_b.p.coord_matrix
-    u = tangential_coordinates(pair_a.p_star).eq_matrix
-    v = tangential_coordinates(pair_b.p_star).eq_matrix
-
-    ux = u @ x
-    vy = v @ y
-    if not is_invertible(ux):
-        raise NotInGeneralPosition("p_a and p_star_a meet p_b degenerately (U X singular)")
-    if not is_invertible(vy):
-        raise NotInGeneralPosition("p_b and p_star_b are not in general position (V Y singular)")
-
+    x, u, ux = _checked_pair(pair_a, "pair_a")
+    y, v, vy = _checked_pair(pair_b, "pair_b")
     w = x @ np.linalg.solve(ux, u @ y) @ np.linalg.solve(vy, v)
     return CrossRatioMatrix(ambient_n=pair_a.ambient_n, m=pair_a.m, w=w)
 

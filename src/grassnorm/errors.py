@@ -21,10 +21,6 @@ class SingularFrame(GeometryError):
     """A frame matrix is not invertible at the working tolerance."""
 
 
-class NotInGeneralPosition(GeometryError):
-    """Subspaces meet in a way that leaves the cross-ratio undefined."""
-
-
 class NonPositiveTrace(GeometryError):
     """Cross-ratio trace is outside the domain of the log distance."""
 

@@ -137,9 +137,9 @@ def constant_map(p_star: Subspace) -> NormalizingMap:
 
 
 def symmetrize_metric(lam: FundamentalTensor) -> MetricTensor:
-    """Metric g = (lam + lam with both index pairs exchanged) / 2."""
-    g = 0.5 * (lam.lam + lam.lam.transpose(1, 0, 3, 2))
-    return MetricTensor(m=lam.m, n=lam.n, g=g)
+    """Metric g = (lam + lam with both index pairs exchanged) / 2,
+    the symmetrization MetricTensor applies to its input."""
+    return MetricTensor(m=lam.m, n=lam.n, g=lam.lam)
 
 
 def lambda_rank(lam: FundamentalTensor, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:

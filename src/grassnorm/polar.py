@@ -73,12 +73,16 @@ class BlockMetrics:
 
     def __post_init__(self):
         gd, ld = self.m + 1, self.n - self.m
-        for name, arr, k in (("g_ab", self.g_ab, gd), ("g_ij", self.g_ij, ld)):
-            mat = as_float_matrix(arr, name)
+        sides = {"g_ab": gd, "g_ij": ld, "g_ab_inv": gd}
+        for name, k in sides.items():
+            mat = as_float_matrix(getattr(self, name), name)
             if mat.shape != (k, k):
                 raise DimensionMismatch(f"{name} must be {k} x {k}, got {mat.shape}")
-        for name in ("g_ab", "g_ij", "g_ab_inv"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(mat))
+        # far above the rounding error of any computed inverse
+        tol = 1e-8 * np.linalg.norm(self.g_ab) * np.linalg.norm(self.g_ab_inv)
+        if float(np.max(np.abs(self.g_ab @ self.g_ab_inv - np.eye(gd)))) > tol:
+            raise ValueError("g_ab_inv is not the inverse of g_ab")
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,20 @@ class EinsteinResult:
 def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
     """Polar complement of p: the null space of X^T G.
 
-    Raises TangentSubspace when the restriction X^T G X is singular,
-    i.e. when p touches the quadric and the polar is not a complement.
+    Raises TangentSubspace when the restriction Q^T G Q to an
+    orthonormal basis Q of p is singular, i.e. when p touches the
+    quadric and the polar is not a complement.
     """
     if p.ambient_n != quadric.n:
         raise DimensionMismatch("subspace and quadric live in different ambient spaces")
     x = p.coord_matrix
-    if not is_invertible(x.T @ quadric.matrix @ x):
+    q = np.linalg.qr(x)[0]
+    if not is_invertible(q.T @ quadric.matrix @ q):
         raise TangentSubspace("subspace is tangent to the quadric")
-    return Subspace(ambient_n=p.ambient_n, coord_matrix=nullspace(x.T @ quadric.matrix))
+    # Q^T G Q is invertible, so X^T G has full row rank and its null
+    # space is known to have dimension n - m: no rank decision is needed
+    polar = nullspace(x.T @ quadric.matrix, rtol=0.0)
+    return Subspace(ambient_n=p.ambient_n, coord_matrix=polar)
 
 
 def polar_map(quadric: Quadric) -> NormalizingMap:

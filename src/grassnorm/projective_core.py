@@ -9,10 +9,7 @@ makes equality of subspaces plain array comparison.
 
 An m-pair joins an m-dimensional subspace p with a complementary
 subspace p_star of dimension n - m - 1.  Frames adapted to an m-pair put
-the spanning points of p first and those of p_star last; infinitesimal
-frame displacement is measured by the Maurer-Cartan matrix omega with
-the convention omega[eta, xi] = coefficient of frame point eta in the
-displacement of frame point xi.
+the spanning points of p first and those of p_star last.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from .linalg import (
     as_float_matrix,
     column_echelon,
     is_invertible,
-    left_nullspace,
-    rref,
     svd_rank,
     unit_columns,
 )
@@ -93,24 +88,6 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class TangentialCoords:
-    """Row equations cutting out a subspace, in reduced row echelon form."""
-
-    ambient_n: int
-    eq_matrix: np.ndarray  # (codim) x (n+1), full row rank
-
-    def __post_init__(self):
-        mat = as_float_matrix(self.eq_matrix, "eq_matrix")
-        if mat.shape[1] != self.ambient_n + 1:
-            raise DimensionMismatch(
-                f"equation matrix has {mat.shape[1]} columns, expected {self.ambient_n + 1}"
-            )
-        if svd_rank(mat) != mat.shape[0]:
-            raise DependentPoints("equation matrix does not have full row rank")
-        object.__setattr__(self, "eq_matrix", _frozen(rref(mat)))
-
-
-@dataclass(frozen=True)
 class MPair:
     """An m-dimensional subspace with a complement of dimension n-m-1."""
 
@@ -156,27 +133,6 @@ class ProjectiveFrame:
         object.__setattr__(self, "frame_matrix", _frozen(mat))
 
 
-@dataclass(frozen=True)
-class MaurerCartanForms:
-    """First-order frame displacement coefficients.
-
-    omega[eta, xi] multiplies frame point eta in the displacement of
-    frame point xi, so the block omega[m+1:, :m+1] carries the motion of
-    p's points toward p_star and omega[:m+1, m+1:] the response of
-    p_star's points.
-    """
-
-    ambient_n: int
-    omega: np.ndarray
-
-    def __post_init__(self):
-        mat = as_float_matrix(self.omega, "omega")
-        k = self.ambient_n + 1
-        if mat.shape != (k, k):
-            raise DimensionMismatch(f"omega must be {k} x {k}, got {mat.shape}")
-        object.__setattr__(self, "omega", _frozen(mat))
-
-
 def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
     """Span of the given points, canonicalized.
 
@@ -206,12 +162,6 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
             f"points have {length} coordinates, expected {ambient_n + 1}"
         )
     return Subspace(ambient_n=length - 1, coord_matrix=np.column_stack(vecs))
-
-
-def tangential_coordinates(p_star: Subspace) -> TangentialCoords:
-    """Equations of a subspace: rows spanning the left null space."""
-    rows = left_nullspace(p_star.coord_matrix)
-    return TangentialCoords(ambient_n=p_star.ambient_n, eq_matrix=rows)
 
 
 def pair_is_valid(pair: MPair) -> bool:
@@ -251,21 +201,3 @@ def _graph_over_frame(
         raise error
     return np.linalg.solve(unit.T, other.T).T
 
-
-def maurer_cartan_estimate(
-    frame_a: ProjectiveFrame, frame_b: ProjectiveFrame
-) -> MaurerCartanForms:
-    """First-order displacement taking frame_a toward frame_b.
-
-    Solves frame_a @ omega = frame_b - frame_a, so for
-    frame_b = frame_a @ (I + t E) the result is exactly t E.
-    """
-    if frame_a.ambient_n != frame_b.ambient_n:
-        raise DimensionMismatch("frames live in different ambient spaces")
-    try:
-        omega = np.linalg.solve(
-            frame_a.frame_matrix, frame_b.frame_matrix - frame_a.frame_matrix
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by frame invariant
-        raise SingularFrame("reference frame is numerically singular") from exc
-    return MaurerCartanForms(ambient_n=frame_a.ambient_n, omega=omega)

@@ -104,3 +104,23 @@ def brute_force_adjust(r, g_ab_inv, g_ij):
                     coeff = g_ab_inv[a, big_a] * g_ij[i, big_i]
                     rc[a, :, :, :, i] += coeff * r[big_i, :, :, :, big_a]
     return rc
+
+
+def raw_polar_basis(points, g):
+    """Columns spanning the polar of span(points) under the quadric g:
+    the null space of X^T G, with X the raw spanning points as columns,
+    never canonicalized."""
+    x = np.asarray(points, dtype=float).T
+    vt = np.linalg.svd(x.T @ g)[2]
+    return vt[x.shape[1] :].T
+
+
+def raw_polar_cross_ratio_trace(points_a, points_b, g):
+    """trace(W) of the polar pairs of two raw spanning sets.  The polar
+    of span(X) is cut out by the rows of X^T G, so
+    W = X (X^T G X)^-1 (X^T G Y) (Y^T G Y)^-1 Y^T G."""
+    x = np.asarray(points_a, dtype=float).T
+    y = np.asarray(points_b, dtype=float).T
+    xg, yg = x.T @ g, y.T @ g
+    w = x @ np.linalg.solve(xg @ x, xg @ y) @ np.linalg.solve(yg @ y, yg)
+    return float(np.trace(w))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from grassnorm import (
     InvalidPair,
     DimensionMismatch,
     MPair,
     NonPositiveTrace,
-    NotInGeneralPosition,
     cr_log_distance,
     cross_ratio,
     polar_conjugate,
@@ -14,7 +15,8 @@ from grassnorm import (
     subspace_from_points,
 )
 
-from _gen import random_invertible, random_pair, random_subspace
+from _gen import random_invertible, random_pair, random_quadric, random_subspace
+from _oracles import raw_polar_basis, raw_polar_cross_ratio_trace
 
 
 def point_pair(a, b):
@@ -122,7 +124,7 @@ def test_nearly_intersecting_pair_is_rejected_before_the_solve():
     grazing = subspace_from_points([[1.0, 0.0, 1e-12, 0.0], [0.0, 0.0, 0.0, 1.0]])
     pb = subspace_from_points([[1, 0, 1, 0], [0, 1, 0, 1]])
     pb_star = subspace_from_points([[1, 0, -1, 0], [0, 1, 0, -1]])
-    with pytest.raises((InvalidPair, NotInGeneralPosition)):
+    with pytest.raises(InvalidPair):
         cross_ratio(MPair(p=p, p_star=grazing), MPair(p=pb, p_star=pb_star))
 
 
@@ -132,3 +134,45 @@ def test_mixed_ambient_dimensions_rejected():
     pb = random_pair(rng, 4, 1)
     with pytest.raises(DimensionMismatch):
         cross_ratio(pa, pb)
+
+
+def polar_pair(points, quadric):
+    p = subspace_from_points(points)
+    return MPair(p=p, p_star=polar_conjugate(p, quadric))
+
+
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 10)])
+def test_log_distance_from_a_line_with_a_small_leading_coordinate(delta):
+    # the line of test_polar.py's small-leading-coordinate test, whose
+    # echelon storage has entries near 1 / delta, against a plain line
+    g = np.diag([1.0, 2.0, 0.5, 1.0])
+    q = Quadric(n=3, matrix=g)
+    points_a = [[delta, 0.0, 1.0, 0.3], [0.0, 1.0, 0.2, 0.7]]
+    points_b = [[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.1]]
+    want = 2.0 * np.log(raw_polar_cross_ratio_trace(points_a, points_b, g) / 2.0)
+    got = cr_log_distance(polar_pair(points_a, q), polar_pair(points_b, q))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.floats(-9.0, -3.0))
+def test_polar_pairs_with_a_small_leading_coordinate_match_the_raw_points(seed, m, log_delta):
+    # on G(m, 2m + 1), p_a's spanning points have their first coordinate
+    # scaled by delta; the polars and the trace must agree with the ones
+    # built from the raw points whenever both subspaces are far from
+    # tangent on orthonormal bases
+    rng = np.random.default_rng(seed)
+    n = 2 * m + 1
+    q = random_quadric(rng, n)
+    points_a = np.linalg.qr(rng.standard_normal((n + 1, m + 1)))[0].T
+    points_a[:, 0] *= 10.0**log_delta
+    points_b = np.linalg.qr(rng.standard_normal((n + 1, m + 1)))[0].T
+    for points in (points_a, points_b):
+        basis = np.linalg.qr(points.T)[0]
+        s = np.linalg.svd(basis.T @ q.matrix @ basis, compute_uv=False)
+        assume(s[-1] >= 0.05 * s[0])
+    pair_a, pair_b = polar_pair(points_a, q), polar_pair(points_b, q)
+    got = np.linalg.qr(pair_a.p_star.coord_matrix)[0]
+    want = np.linalg.qr(raw_polar_basis(points_a, q.matrix))[0]
+    np.testing.assert_allclose(got @ got.T, want @ want.T, atol=1e-9)
+    trace = raw_polar_cross_ratio_trace(points_a, points_b, q.matrix)
+    assert cross_ratio(pair_a, pair_b).trace == pytest.approx(trace, rel=1e-9, abs=1e-9)

@@ -131,6 +131,14 @@ def test_polar_tensor_is_full_rank_and_harmonic():
     assert isotropic_dimension(g) == 0
 
 
+def test_symmetrize_metric_is_one_pair_symmetrization():
+    # MetricTensor symmetrizes its input, which is exact on an array that
+    # is already symmetric, so one pass gives the bits of two
+    rng = np.random.default_rng(37)
+    raw = random_lambda(rng, 2, 5)
+    np.testing.assert_array_equal(symmetrize_metric(raw).g, pair_symmetrized(raw).lam)
+
+
 def test_harmonic_defect_vanishes_only_after_symmetrization():
     rng = np.random.default_rng(35)
     raw = random_lambda(rng, 1, 3)

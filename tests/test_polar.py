@@ -8,6 +8,7 @@ from grassnorm import (
     NotPolarAdapted,
     ProjectiveFrame,
     Quadric,
+    Subspace,
     TangentSubspace,
     adapted_frame,
     adjust_curvature_indices,
@@ -24,6 +25,7 @@ from grassnorm import (
 )
 
 from _gen import random_block_metrics, random_pair, random_polar_pair, random_quadric
+from _oracles import raw_polar_basis
 
 
 def test_identity_quadric_polar_of_coordinate_plane():
@@ -165,3 +167,26 @@ def test_polar_map_evaluates_the_conjugate():
     pair = random_polar_pair(rng, q, 1)
     assert nu(pair.p).same_as(pair.p_star)
     assert nu.tag.startswith("polar:")
+
+
+def test_block_metrics_rejects_an_inverse_that_is_not_one():
+    # with g_ab_inv = I for g_ab = diag(2, 1) the Einstein check would
+    # run on the wrong tensor and report Einstein
+    with pytest.raises(ValueError):
+        BlockMetrics(m=1, n=3, g_ab=np.diag([2.0, 1.0]), g_ij=np.eye(2), g_ab_inv=np.eye(2))
+
+
+def test_block_metrics_rejects_a_wrongly_shaped_inverse():
+    with pytest.raises(DimensionMismatch):
+        BlockMetrics(m=1, n=3, g_ab=np.eye(2), g_ij=np.eye(2), g_ab_inv=np.eye(3))
+
+
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 10)])
+def test_polar_of_a_line_with_a_small_leading_coordinate(delta):
+    # stored in echelon form this line has entries near 1 / delta, but on
+    # an orthonormal basis its Gram matrix has singular-value ratio 0.31,
+    # far from tangent
+    g = np.diag([1.0, 2.0, 0.5, 1.0])
+    points = [[delta, 0.0, 1.0, 0.3], [0.0, 1.0, 0.2, 0.7]]
+    conj = polar_conjugate(subspace_from_points(points), Quadric(n=3, matrix=g))
+    assert conj.same_as(Subspace(ambient_n=3, coord_matrix=raw_polar_basis(points, g)))

@@ -13,10 +13,8 @@ from grassnorm import (
     SingularFrame,
     Subspace,
     adapted_frame,
-    maurer_cartan_estimate,
     pair_is_valid,
     subspace_from_points,
-    tangential_coordinates,
 )
 
 from _gen import random_invertible, random_pair, random_subspace
@@ -54,15 +52,6 @@ def test_subspace_from_points_accepts_homogeneous_points():
 def test_dependent_points_rejected():
     with pytest.raises(DependentPoints):
         subspace_from_points([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-
-
-def test_tangential_coordinates_annihilate_the_subspace():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        sub = random_subspace(rng, 4, 1)
-        eq = tangential_coordinates(sub)
-        np.testing.assert_allclose(eq.eq_matrix @ sub.coord_matrix, 0.0, atol=1e-12)
-        assert eq.eq_matrix.shape == (4 - 1, 5)
 
 
 def test_pair_validity_and_invalid_pair_error():
@@ -105,13 +94,3 @@ def test_projective_frame_must_be_invertible():
     with pytest.raises(SingularFrame):
         ProjectiveFrame(ambient_n=2, frame_matrix=np.ones((3, 3)))
 
-
-def test_maurer_cartan_exact_on_multiplicative_displacement():
-    rng = np.random.default_rng(14)
-    f = random_invertible(rng, 5)
-    frame_a = ProjectiveFrame(ambient_n=4, frame_matrix=f)
-    e = rng.standard_normal((5, 5))
-    t = 1e-3
-    frame_b = ProjectiveFrame(ambient_n=4, frame_matrix=f @ (np.eye(5) + t * e))
-    omega = maurer_cartan_estimate(frame_a, frame_b).omega
-    np.testing.assert_allclose(omega, t * e, atol=1e-14)
