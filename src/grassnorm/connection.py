@@ -221,8 +221,8 @@ def _covariant_derivative(
     nu: NormalizingMap, pair: MPair, direction: TangentDirection, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """covariant_derivative_estimate and the base-pair tensor lam it used."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     m, n = pair.m, pair.ambient_n
     if direction.m != m or direction.n != n:
         raise DimensionMismatch("direction does not match the pair's Grassmannian")

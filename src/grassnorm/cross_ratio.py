@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPair, NonPositiveTrace
-from .linalg import is_invertible, left_nullspace
-from .projective_core import MPair
+from .projective_core import MPair, pair_is_valid
 
 
 @dataclass(frozen=True)
@@ -42,17 +41,9 @@ class CrossRatioMatrix:
         return float(np.trace(self.w))
 
 
-def _checked_pair(pair: MPair, label: str):
-    """Orthonormal basis X of p, orthonormal equation rows U of p_star,
-    and U X.  U X is invertible exactly when p and p_star span the
-    ambient space, so this tests the pair on orthonormal bases, not on
-    its stored columns; raises InvalidPair when it is singular."""
-    x = np.linalg.qr(pair.p.coord_matrix)[0]
-    u = left_nullspace(pair.p_star.coord_matrix)
-    ux = u @ x
-    if not is_invertible(ux):
+def _check_pair(pair: MPair, label: str):
+    if not pair_is_valid(pair):
         raise InvalidPair(f"{label} is not a valid pair")
-    return x, u, ux
 
 
 def cross_ratio(pair_a: MPair, pair_b: MPair) -> CrossRatioMatrix:
@@ -63,9 +54,11 @@ def cross_ratio(pair_a: MPair, pair_b: MPair) -> CrossRatioMatrix:
     """
     if pair_a.ambient_n != pair_b.ambient_n or pair_a.m != pair_b.m:
         raise DimensionMismatch("pairs must share ambient dimension and subspace dimension")
-    x, u, ux = _checked_pair(pair_a, "pair_a")
-    y, v, vy = _checked_pair(pair_b, "pair_b")
-    w = x @ np.linalg.solve(ux, u @ y) @ np.linalg.solve(vy, v)
+    _check_pair(pair_a, "pair_a")
+    _check_pair(pair_b, "pair_b")
+    x, u = pair_a.p.basis, pair_a.p_star.equations
+    y, v = pair_b.p.basis, pair_b.p_star.equations
+    w = x @ np.linalg.solve(u @ x, u @ y) @ np.linalg.solve(v @ y, v)
     return CrossRatioMatrix(ambient_n=pair_a.ambient_n, m=pair_a.m, w=w)
 
 
@@ -82,7 +75,7 @@ def cr_log_distance(pair_a: MPair, pair_b: MPair) -> float:
         and np.array_equal(pair_a.p_star.coord_matrix, pair_b.p_star.coord_matrix)
     )
     if same:
-        _checked_pair(pair_a, "pair_a")
+        _check_pair(pair_a, "pair_a")
         return 0.0
     t = cross_ratio(pair_a, pair_b).trace
     k = pair_a.m + 1

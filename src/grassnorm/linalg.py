@@ -1,7 +1,7 @@
 """Small numerical helpers shared across the geometric modules.
 
-Rank decisions use singular values with a relative threshold; echelon
-canonicalization uses partial pivoting with the same relative scale.
+Rank decisions use singular values with a relative threshold; canonical
+subspace storage uses threshold pivoting on an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from .errors import DimensionMismatch, TensorTooLarge
 
 # Singular values at or below RANK_RTOL times the largest one count as zero.
 RANK_RTOL = 1e-9
+
+# Threshold pivoting (Duff, Erisman & Reid): pivot residual >= this * largest.
+_PIVOT_THRESHOLD = 0.1
 
 # Dense float results larger than this many bytes are refused, not allocated.
 DENSE_BUDGET_BYTES = 2**30
@@ -60,13 +63,15 @@ def _dense_zeros(shape: tuple, what: str) -> np.ndarray:
 
 def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
     """Numerical rank: singular values above max(rtol * s_max, atol)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=float)), compute_uv=False)
+    return _rank_from_singular_values(s, rtol, atol)
+
+
+def _rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
+    """Count of the descending singular values s above max(rtol * s[0], atol)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > max(rtol * s[0], atol)))
+    return int(np.count_nonzero(s > max(rtol * s[0], atol)))
 
 
 def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -78,45 +83,26 @@ def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return vt[rank:].T
 
 
-def left_nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the left null space, as rows."""
-    return nullspace(np.asarray(a, dtype=float).T, rtol=rtol).T
-
-
-def rref(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Reduced row echelon form with partial pivoting and unit pivots.
-
-    Pivot columns come out as exact standard basis vectors, so applying
-    the reduction twice reproduces the same matrix.
-    """
-    r = np.array(a, dtype=float)
-    nrows, ncols = r.shape
-    scale = np.abs(r).max(initial=0.0)
-    if scale == 0.0:
-        return r
-    tol = rtol * scale
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = row + int(np.argmax(np.abs(r[row:, col])))
-        if abs(r[piv, col]) <= tol:
-            continue
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] / r[row, col]
-        r[row, col] = 1.0
-        for other in range(nrows):
-            if other != row and r[other, col] != 0.0:
-                r[other] = r[other] - r[other, col] * r[row]
-                r[other, col] = 0.0
-        row += 1
-    return r
-
-
-def column_echelon(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Column-reduced echelon form: unit pivots, ordered by pivot row."""
-    return rref(np.asarray(a, dtype=float).T, rtol=rtol).T
+def _threshold_pivots(q: np.ndarray) -> list:
+    """Ascending pivot rows of q, (n+1) x k with orthonormal columns: k
+    times, the lowest-index row with residual norm >= _PIVOT_THRESHOLD
+    times the largest, whose direction is then projected out of every row.
+    This is pivoted Cholesky of q q^T, so the rows depend on span(q) only
+    and q q[rows]^-1 stays bounded however small a coordinate of it is."""
+    n1, k = q.shape
+    gram = q @ q.T
+    residual = gram.diagonal()  # squared residual row norms, a view that follows gram
+    col, outer = np.empty(n1), np.empty((n1, n1))  # reused: the loop allocates no arrays
+    rows = []
+    while True:
+        norms = residual.tolist()
+        tol = _PIVOT_THRESHOLD * _PIVOT_THRESHOLD * max(norms)
+        i = next(j for j, x in enumerate(norms) if x >= tol)
+        rows.append(i)
+        if len(rows) == k:
+            return sorted(rows)
+        np.multiply(gram[i], 1.0 / math.sqrt(norms[i]), out=col)
+        gram -= np.multiply.outer(col, col, out=outer)
 
 
 def unit_columns(a: np.ndarray) -> np.ndarray:

@@ -235,8 +235,8 @@ def estimate_fundamental_tensor_in_frame(
     remaining columns its complement nu(p).  Returns the raw component
     array lam[alpha][beta][i][j]; see estimate_fundamental_tensor.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     gd, ld = m + 1, frame.shape[0] - 1 - m
     rho = gd * ld
     # unit[beta * ld + j] = E_{j, beta}, the move of p's point beta toward point j

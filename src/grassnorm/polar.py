@@ -93,21 +93,21 @@ class EinsteinResult:
 
 
 def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
-    """Polar complement of p: the null space of X^T G.
+    """Polar complement of p: the null space of Q^T G, for the
+    orthonormal basis Q of p.
 
-    Raises TangentSubspace when the restriction Q^T G Q to an
-    orthonormal basis Q of p is singular, i.e. when p touches the
-    quadric and the polar is not a complement.
+    Raises TangentSubspace when the restriction Q^T G Q is singular,
+    i.e. when p touches the quadric and the polar is not a complement.
     """
     if p.ambient_n != quadric.n:
         raise DimensionMismatch("subspace and quadric live in different ambient spaces")
-    x = p.coord_matrix
-    q = np.linalg.qr(x)[0]
-    if not is_invertible(q.T @ quadric.matrix @ q):
+    q = p.basis
+    qg = q.T @ quadric.matrix
+    if not is_invertible(qg @ q):
         raise TangentSubspace("subspace is tangent to the quadric")
-    # Q^T G Q is invertible, so X^T G has full row rank and its null
+    # Q^T G Q is invertible, so Q^T G has full row rank and its null
     # space is known to have dimension n - m: no rank decision is needed
-    polar = nullspace(x.T @ quadric.matrix, rtol=0.0)
+    polar = nullspace(qg, rtol=0.0)
     return Subspace(ambient_n=p.ambient_n, coord_matrix=polar)
 
 

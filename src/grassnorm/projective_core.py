@@ -3,9 +3,10 @@
 A point of n-dimensional projective space is a nonzero homogeneous
 coordinate vector of length n + 1, taken up to scale.  An m-dimensional
 subspace is the span of m + 1 independent points and is stored through a
-canonical (n+1) x (m+1) coordinate matrix: column-reduced echelon form
-with unit pivots, pivot columns ordered by pivot row.  Canonical storage
-makes equality of subspaces plain array comparison.
+canonical (n+1) x (m+1) coordinate matrix: a graph over m + 1 threshold
+pivot rows holding the identity, pivot columns ordered by pivot row.
+Canonical storage makes equality of subspaces plain array comparison.
+The same SVD gives orthonormal bases, on which predicates are measured.
 
 An m-pair joins an m-dimensional subspace p with a complementary
 subspace p_star of dimension n - m - 1.  Frames adapted to an m-pair put
@@ -14,7 +15,7 @@ the spanning points of p first and those of p_star last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +26,11 @@ from .errors import (
     SingularFrame,
 )
 from .linalg import (
+    RANK_RTOL,
     _frozen,
+    _rank_from_singular_values,
+    _threshold_pivots,
     as_float_matrix,
-    column_echelon,
     is_invertible,
     svd_rank,
     unit_columns,
@@ -57,10 +60,14 @@ class HomogeneousPoint:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A projective subspace held in canonical coordinate-matrix form."""
+    """A projective subspace held in canonical coordinate-matrix form,
+    with orthonormal columns spanning it (basis) and orthonormal rows
+    cutting it out (equations), both from the SVD of the columns given."""
 
     ambient_n: int
     coord_matrix: np.ndarray  # (n+1) x (dim+1), canonical columns
+    basis: np.ndarray = field(init=False, compare=False, repr=False)
+    equations: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mat = as_float_matrix(self.coord_matrix, "coord_matrix")
@@ -68,11 +75,25 @@ class Subspace:
             raise DimensionMismatch(
                 f"coordinate matrix has {mat.shape[0]} rows, expected {self.ambient_n + 1}"
             )
-        if svd_rank(mat) != mat.shape[1]:
+        k = mat.shape[1]
+        u, s, _ = np.linalg.svd(mat)
+        if _rank_from_singular_values(s) != k:
             raise DependentPoints("spanning points are linearly dependent")
-        if not 1 <= mat.shape[1] <= mat.shape[0]:
+        if not 1 <= k <= mat.shape[0]:
             raise DimensionMismatch("subspace dimension out of range for the ambient space")
-        object.__setattr__(self, "coord_matrix", _frozen(column_echelon(mat)))
+        u.flags.writeable = False
+        q = u[:, :k]
+        rows = _threshold_pivots(q)
+        if rows[-1] == k - 1:  # the usual leading pivots: slices index by view, not copy
+            rows = slice(0, k)
+        eye = np.eye(k)
+        if not np.array_equal(mat[rows], eye):  # else already canonical: kept bit for bit
+            mat = q @ np.linalg.inv(q[rows])
+            mat[rows] = eye
+            mat.flags.writeable = False  # fresh, so _frozen keeps it without a copy
+        object.__setattr__(self, "coord_matrix", _frozen(mat))
+        object.__setattr__(self, "basis", q)
+        object.__setattr__(self, "equations", u[:, k:].T)
 
     @property
     def dim(self) -> int:
@@ -111,10 +132,6 @@ class MPair:
     def m(self) -> int:
         return self.p.dim
 
-    def joint_matrix(self) -> np.ndarray:
-        """(n+1) x (n+1) matrix with p's columns first, p_star's last."""
-        return np.hstack([self.p.coord_matrix, self.p_star.coord_matrix])
-
 
 @dataclass(frozen=True)
 class ProjectiveFrame:
@@ -143,20 +160,15 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
         per row.
     ambient_n : optional ambient dimension check.
     """
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        rows = [points[i] for i in range(points.shape[0])]
-    else:
-        rows = list(points)
-    if not rows:
+    vecs = [
+        r.coords if isinstance(r, HomogeneousPoint) else np.asarray(r, dtype=float).reshape(-1)
+        for r in points
+    ]
+    if not vecs:
         raise DependentPoints("need at least one spanning point")
-    vecs = []
-    for r in rows:
-        v = r.coords if isinstance(r, HomogeneousPoint) else np.asarray(r, dtype=float)
-        vecs.append(v.reshape(-1))
     length = vecs[0].size
-    for v in vecs:
-        if v.size != length:
-            raise DimensionMismatch("spanning points have inconsistent lengths")
+    if any(v.size != length for v in vecs):
+        raise DimensionMismatch("spanning points have inconsistent lengths")
     if ambient_n is not None and length != ambient_n + 1:
         raise DimensionMismatch(
             f"points have {length} coordinates, expected {ambient_n + 1}"
@@ -165,9 +177,11 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
 
 
 def pair_is_valid(pair: MPair) -> bool:
-    """True when p and p_star together span the ambient space."""
-    joint = pair.joint_matrix()
-    return svd_rank(joint) == joint.shape[0]
+    """True when p and p_star together span the ambient space: every
+    singular value of U X, for p's basis X and p_star's equations U, is
+    above RANK_RTOL; the smallest is the sine of the angle between them."""
+    ux = pair.p_star.equations @ pair.p.basis
+    return svd_rank(ux, rtol=0.0, atol=RANK_RTOL) == ux.shape[0]
 
 
 def adapted_frame(pair: MPair) -> ProjectiveFrame:

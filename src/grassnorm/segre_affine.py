@@ -18,7 +18,7 @@ import numpy as np
 
 from .connection import curvature_tensor
 from .errors import DimensionMismatch, NotComplementary
-from .linalg import _frozen, nullspace
+from .linalg import _frozen
 from .normalization import (
     FundamentalTensor,
     lambda_rank,
@@ -50,10 +50,10 @@ class AffineChartPoint:
 def chart_frame(p_star: Subspace) -> ProjectiveFrame:
     """Deterministic frame adapted to the chart center p_star.
 
-    The first column group spans the orthogonal complement of p_star's
-    canonical columns, the last group spans p_star itself.
+    The first column group spans the orthogonal complement of p_star,
+    cut out by its equation rows; the last group spans p_star itself.
     """
-    p0 = Subspace(ambient_n=p_star.ambient_n, coord_matrix=nullspace(p_star.coord_matrix.T))
+    p0 = Subspace(ambient_n=p_star.ambient_n, coord_matrix=p_star.equations.T)
     return adapted_frame(MPair(p=p0, p_star=p_star))
 
 

@@ -211,6 +211,19 @@ def test_error_paths_exit_two(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.001"])
+def test_eps_that_is_not_positive_and_finite_exits_two(files, capsys, eps):
+    polar = ["--map", f"polar:{files['quadric']}", "--subspace", files["p"]]
+    for args in (
+        ["estimate-lambda", *polar],
+        ["check", "covariant-constancy", *polar, "--direction", files["direction"]],
+    ):
+        assert run([*args, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps must be positive and finite" in captured.err
+
+
 def test_tangent_subspace_reported_as_error(files, capsys):
     cone = files["write"](
         "cone.json", {"n": 3, "matrix": np.diag([1.0, -1.0, 1.0, 1.0]).tolist()}

@@ -144,7 +144,7 @@ def polar_pair(points, quadric):
 @pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 10)])
 def test_log_distance_from_a_line_with_a_small_leading_coordinate(delta):
     # the line of test_polar.py's small-leading-coordinate test, whose
-    # echelon storage has entries near 1 / delta, against a plain line
+    # leading coordinate is near zero, against a plain line
     g = np.diag([1.0, 2.0, 0.5, 1.0])
     q = Quadric(n=3, matrix=g)
     points_a = [[delta, 0.0, 1.0, 0.3], [0.0, 1.0, 0.2, 0.7]]

@@ -6,17 +6,12 @@ from hypothesis import strategies as st
 from grassnorm import FundamentalTensor
 from grassnorm.linalg import (
     _frozen,
-    column_echelon,
     is_invertible,
-    left_nullspace,
     min_max_singular,
     nullspace,
-    rref,
     svd_rank,
     unit_columns,
 )
-
-from _gen import random_invertible
 
 
 finite_entries = st.floats(
@@ -43,29 +38,6 @@ def test_svd_rank_absolute_floor():
     assert svd_rank(a, atol=1e-2) == 1
 
 
-def test_rref_idempotent_and_exact_pivots():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        a = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 6)))
-        r = rref(a)
-        np.testing.assert_array_equal(rref(r), r)
-        # each pivot is stored as exactly 1.0 with exact zeros above it
-        for row in r:
-            nz = np.nonzero(row)[0]
-            if nz.size:
-                assert row[nz[0]] == 1.0
-
-
-def test_column_echelon_representative_independence():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        a = rng.standard_normal((5, 2))
-        mix = random_invertible(rng, 2)
-        c1 = column_echelon(a)
-        c2 = column_echelon(a @ mix)
-        np.testing.assert_allclose(c1, c2, atol=1e-12)
-
-
 @given(random_matrix_strategy())
 def test_nullspace_is_orthonormal_kernel(dims):
     rows, cols, seed = dims
@@ -76,14 +48,6 @@ def test_nullspace_is_orthonormal_kernel(dims):
     if ns.shape[1]:
         np.testing.assert_allclose(a @ ns, 0.0, atol=1e-12)
         np.testing.assert_allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=1e-12)
-
-
-def test_left_nullspace_matches_transposed_kernel():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 3))
-    ln = left_nullspace(a)
-    np.testing.assert_allclose(ln @ a, 0.0, atol=1e-12)
-    assert ln.shape == (5 - 3, 5)
 
 
 def test_unit_columns_normalization_and_sign():

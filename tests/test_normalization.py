@@ -267,3 +267,15 @@ def test_polar_estimators_build_no_subspace_per_displacement(monkeypatch):
     # rho is 4 at G(1,3) and 16 at G(3,7)
     assert counts[(1, 3, "polar:n3")] == counts[(3, 7, "polar:n7")]
     assert counts[(3, 7, "user-polar")] > counts[(1, 3, "user-polar")]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])
+def test_estimators_reject_an_eps_that_is_not_positive_and_finite(eps):
+    rng = np.random.default_rng(34)
+    q = random_quadric(rng, 3)
+    pair = random_polar_pair(rng, q, 1)
+    direction = TangentDirection(m=1, n=3, d=np.eye(2))
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        estimate_fundamental_tensor(polar_map(q), pair, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        covariant_derivative_estimate(polar_map(q), pair, direction, eps=eps)

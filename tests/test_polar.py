@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from grassnorm import (
     BlockMetrics,
@@ -16,6 +18,7 @@ from grassnorm import (
     covariant_curvature,
     curvature_tensor,
     einstein_check,
+    estimate_fundamental_tensor,
     polar_conjugate,
     polar_lambda,
     polar_map,
@@ -183,10 +186,31 @@ def test_block_metrics_rejects_a_wrongly_shaped_inverse():
 
 @pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 10)])
 def test_polar_of_a_line_with_a_small_leading_coordinate(delta):
-    # stored in echelon form this line has entries near 1 / delta, but on
-    # an orthonormal basis its Gram matrix has singular-value ratio 0.31,
+    # the leading coordinate of this line is near zero, but on an
+    # orthonormal basis its Gram matrix has singular-value ratio 0.31,
     # far from tangent
     g = np.diag([1.0, 2.0, 0.5, 1.0])
     points = [[delta, 0.0, 1.0, 0.3], [0.0, 1.0, 0.2, 0.7]]
     conj = polar_conjugate(subspace_from_points(points), Quadric(n=3, matrix=g))
     assert conj.same_as(Subspace(ambient_n=3, coord_matrix=raw_polar_basis(points, g)))
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.floats(-9.0, -3.0))
+def test_polar_pairs_with_a_small_leading_coordinate_get_an_adapted_frame(seed, m, log_delta):
+    # on G(m, 2m + 1), p's spanning points have their first coordinate
+    # scaled by delta; whenever p is far from tangent on an orthonormal
+    # basis, its polar pair is valid and the estimator runs on it
+    rng = np.random.default_rng(seed)
+    n = 2 * m + 1
+    q = random_quadric(rng, n)
+    points = np.linalg.qr(rng.standard_normal((n + 1, m + 1)))[0].T
+    points[:, 0] *= 10.0**log_delta
+    basis = np.linalg.qr(points.T)[0]
+    s = np.linalg.svd(basis.T @ q.matrix @ basis, compute_uv=False)
+    assume(s[-1] >= 0.05 * s[0])
+    p = subspace_from_points(points)
+    pair = MPair(p=p, p_star=polar_conjugate(p, q))
+    exact = polar_lambda(block_metrics(adapted_frame(pair), q, m)).lam
+    lam = estimate_fundamental_tensor(polar_map(q), pair).lam
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    np.testing.assert_allclose(lam, exact, rtol=0.0, atol=1e-6 * scale)

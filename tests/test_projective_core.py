@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from grassnorm import (
@@ -13,11 +13,20 @@ from grassnorm import (
     SingularFrame,
     Subspace,
     adapted_frame,
+    estimate_fundamental_tensor,
     pair_is_valid,
+    polar_conjugate,
+    polar_map,
     subspace_from_points,
 )
 
-from _gen import random_invertible, random_pair, random_subspace
+from _gen import (
+    random_invertible,
+    random_orthogonal,
+    random_pair,
+    random_quadric,
+    random_subspace,
+)
 
 
 def test_subspace_canonical_form_is_representative_free():
@@ -94,3 +103,84 @@ def test_projective_frame_must_be_invertible():
     with pytest.raises(SingularFrame):
         ProjectiveFrame(ambient_n=2, frame_matrix=np.ones((3, 3)))
 
+
+def unit_pivot_rows(sub):
+    """Rows of the stored matrix that are exactly a row of the identity,
+    one per column, in column order; fails when a column has none."""
+    c = sub.coord_matrix
+    eye = np.eye(c.shape[1])
+    rows = [i for i in range(c.shape[0]) if any(np.array_equal(c[i], e) for e in eye)]
+    assert len(rows) == c.shape[1]
+    assert np.array_equal(c[rows], eye)
+    return rows
+
+
+def test_rank_and_pivots_agree_on_a_row_below_the_entry_scale():
+    # the second spanning point has every entry below 1e-9 times the
+    # largest one, yet the singular-value ratio 2.4e-9 gives rank 2;
+    # doubling that point must not change the stored subspace
+    e0 = np.eye(17)[0]
+    small = np.r_[0.0, np.full(16, 0.6e-9)]
+    a = subspace_from_points([e0, small])
+    b = subspace_from_points([e0, 2.0 * small])
+    assert a.same_as(b)
+    assert unit_pivot_rows(a) == unit_pivot_rows(b) == [0, 1]
+
+
+def random_mix(rng, k, log_cond):
+    """k x k matrix with condition number 10**log_cond."""
+    s = 10.0 ** np.linspace(0.0, -log_cond, k)
+    return random_orthogonal(rng, k) @ np.diag(s) @ random_orthogonal(rng, k)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 3),
+    st.integers(1, 5),
+    st.floats(-12.0, 0.0),
+    st.floats(0.0, 4.0),
+    st.booleans(),
+)
+# echelon storage took other pivot rows for the respanned line (the first)
+# and rejected a valid pair (the second)
+@example(seed=1, m=1, extra=1, log_scale=-7.0, log_cond=1.0, meet=False)
+@example(seed=105, m=1, extra=4, log_scale=-8.0, log_cond=0.0, meet=False)
+def test_storage_is_invariant_under_respanning(seed, m, extra, log_scale, log_cond, meet):
+    # on G(0,1)-G(3,8), one coordinate of the subspace is scaled down by
+    # up to 1e-12 and the spanning set mixed by a matrix of condition
+    # number up to 1e4; beyond that the mixed points themselves carry
+    # errors near 1e-16 * cond, above what same_as can forgive
+    rng = np.random.default_rng(seed)
+    n = min(m + extra, 8)
+    row = rng.integers(0, n + 1)
+    points = rng.standard_normal((m + 1, n + 1))
+    points[:, row] *= 10.0**log_scale
+    star = rng.standard_normal((n - m, n + 1))
+    if meet:
+        star[0] = rng.standard_normal(m + 1) @ points  # p_star meets p
+    mix = random_mix(rng, m + 1, log_cond)
+    p = subspace_from_points(points)
+    remixed = subspace_from_points(mix.T @ points)
+    assert unit_pivot_rows(p) == unit_pivot_rows(remixed)
+    assert p.same_as(remixed)
+    p_star = subspace_from_points(star)
+    star_mix = subspace_from_points(random_mix(rng, n - m, log_cond) @ star)
+    valid = pair_is_valid(MPair(p=p, p_star=p_star))
+    assert valid == pair_is_valid(MPair(p=remixed, p_star=star_mix))
+    assert valid != meet
+    for sub in (p, remixed, p_star, star_mix):
+        again = Subspace(ambient_n=n, coord_matrix=sub.coord_matrix)
+        assert np.array_equal(again.coord_matrix, sub.coord_matrix)
+    q = random_quadric(rng, n)
+    for sub in (p, remixed):
+        basis = np.linalg.qr(sub.coord_matrix)[0]
+        s = np.linalg.svd(basis.T @ q.matrix @ basis, compute_uv=False)
+        assume(s[-1] >= 0.05 * s[0])
+    lams = [
+        estimate_fundamental_tensor(
+            polar_map(q), MPair(p=sub, p_star=polar_conjugate(sub, q))
+        ).lam
+        for sub in (p, remixed)
+    ]
+    scale = max(1.0, float(np.max(np.abs(lams[0]))))
+    np.testing.assert_allclose(lams[1], lams[0], rtol=0.0, atol=1e-9 * scale)
