@@ -24,7 +24,8 @@ exactly when lam is harmonic.
 A normalization is homogeneous when its tensor is covariantly constant;
 an algebraic consequence is the vanishing of the eight-term quadratic
 expression checked by homogeneity_residual.  The covariant derivative
-itself is estimated by finite differences along a tangent direction.
+itself is estimated by finite differences along a tangent direction, in
+two stacked evaluations of the map's graph action.
 
 The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
 structural zeros.  curvature_tensor writes each term onto its Kronecker
@@ -46,8 +47,8 @@ from .normalization import (
     FundamentalTensor,
     NormalizingMap,
     TangentDirection,
+    _estimate_in_frames,
     _graph_stack,
-    estimate_fundamental_tensor_in_frame,
 )
 from .projective_core import MPair, adapted_frame
 
@@ -177,22 +178,6 @@ def is_homogeneous(lam: FundamentalTensor, tol: float = 1e-9) -> bool:
     return homogeneity_residual(lam) <= tol * scale * scale
 
 
-def _transported_frame(frame0: np.ndarray, m: int, d: np.ndarray, t: float, nu: NormalizingMap):
-    """Adapted frame at p(t), smooth in t, agreeing with frame0 at t = 0.
-
-    The first block holds the displaced spanning columns themselves; the
-    complement block is nu(p(t)) written as a graph over frame0, so no
-    canonicalization enters and the path has no pivot or sign jumps.
-    """
-    n = frame0.shape[0] - 1
-    b = t * d
-    base = frame0[:, : m + 1] + frame0[:, m + 1 :] @ b
-    off_chart = FramingFailure("complement left the chart of the base frame")
-    graph = _graph_stack(nu, frame0, m, b[None], off_chart)[0]
-    comp = frame0 @ np.vstack([graph, np.eye(n - m)])
-    return np.hstack([base, comp])
-
-
 def covariant_derivative_estimate(
     nu: NormalizingMap, pair: MPair, direction: TangentDirection, eps: float
 ) -> np.ndarray:
@@ -203,8 +188,10 @@ def covariant_derivative_estimate(
     A_beta + t * sum_i d[i][beta] A_{m+1+i}.  The tensor is estimated at
     p(+eps) and p(-eps) in an adapted frame transported smoothly from
     the base pair (the canonical frame of a displaced pair need not vary
-    smoothly), and the frame motion is removed with the Maurer-Cartan
-    coefficients of the same frame path:
+    smoothly): one graph call of nu builds both transported frames, and
+    one more estimates the tensor at them and at the base frame.  The
+    frame motion is removed with the Maurer-Cartan coefficients of the
+    same frame path:
 
         grad[a][b][i][j] = d(lam)[a][b][i][j]
             - sum_k lam[a][b][i][k] w(j->k) - sum_k lam[a][b][k][j] w(i->k)
@@ -229,18 +216,19 @@ def _covariant_derivative(
     if float(np.max(np.abs(direction.d), initial=0.0)) == 0.0:
         raise ValueError("direction must be nonzero")
 
+    # frames at p(+eps), p(-eps): the displaced spanning columns, then nu(p(t)) as a
+    # graph over frame0, so no canonicalization enters and the path has no jumps
     frame0 = adapted_frame(pair).frame_matrix
-    lam0 = estimate_fundamental_tensor_in_frame(nu, frame0, m, eps=eps)
-
-    lams = []
-    frames = []
-    for t in (eps, -eps):
-        frame_t = _transported_frame(frame0, m, direction.d, t, nu)
-        frames.append(frame_t)
-        lams.append(estimate_fundamental_tensor_in_frame(nu, frame_t, m, eps=eps))
+    b = np.array([eps, -eps])[:, None, None] * direction.d
+    off_chart = FramingFailure("complement left the chart of the base frame")
+    graphs = _graph_stack(nu, np.stack([frame0, frame0]), m, b, off_chart)
+    unit = np.broadcast_to(np.eye(n - m), (2, n - m, n - m))
+    comp = frame0 @ np.concatenate([graphs, unit], axis=1)
+    moved = np.concatenate([frame0[:, : m + 1] + frame0[:, m + 1 :] @ b, comp], axis=2)
+    lam0, *lams = _estimate_in_frames(nu, np.concatenate([frame0[None], moved]), m, eps)
 
     dlam = (lams[0] - lams[1]) / (2.0 * eps)
-    omega = np.linalg.solve(frame0, frames[0] - frames[1]) / (2.0 * eps)
+    omega = np.linalg.solve(frame0, moved[0] - moved[1]) / (2.0 * eps)
     greek = omega[: m + 1, : m + 1]  # greek[b, c] = w(c -> b)
     latin = omega[m + 1 :, m + 1 :]  # latin[k, j] = w(j -> k)
 

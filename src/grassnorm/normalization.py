@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure, MapUndefined
 from .linalg import RANK_RTOL, _frozen, svd_rank
-from .projective_core import MPair, Subspace, _graph_over_frame, adapted_frame
+from .projective_core import MPair, ProjectiveFrame, Subspace, _graph_over_frame, adapted_frame
 
 #: default displacement step for finite-difference estimation
 DEFAULT_EPS = 1e-5
@@ -98,11 +98,11 @@ class TangentDirection:
 class NormalizingMap:
     """A map assigning to each m-subspace a complementary subspace.
 
-    graph, when given, is the same map in graph coordinates over a frame
-    F = (F_top | F_bot) split after its first m + 1 columns:
-    graph(frame, m, b) takes a stack b of shape (k, n - m, m + 1), the
-    subspaces span(F_top + F_bot b), and returns the stack c of shape
-    (k, m + 1, n - m) with nu(span(F_top + F_bot b)) = span(F_top c + F_bot).
+    graph, when given, is the same map in graph coordinates over frames
+    F = (F_top | F_bot) split after their first m + 1 columns:
+    graph(frames, m, b) takes frames of shape (k, n + 1, n + 1) and b of
+    shape (k, n - m, m + 1) and returns c of shape (k, m + 1, n - m) with
+    nu(span(F_top + F_bot b)) = span(F_top c + F_bot), frame by frame.
     It raises FramingFailure where an image is no such graph.  The
     estimators use it in place of one fn call per displaced subspace.
     """
@@ -123,11 +123,11 @@ def _check_complement(star: Subspace, n: int, m: int):
 def constant_map(p_star: Subspace) -> NormalizingMap:
     """Normalization sending every subspace to the same complement."""
 
-    def graph(frame, m, b):
-        _check_complement(p_star, frame.shape[0] - 1, m)
+    def graph(frames, m, b):
+        _check_complement(p_star, frames.shape[-1] - 1, m)
         off_frame = FramingFailure("the constant complement is no graph over the frame")
-        c = _graph_over_frame(frame, p_star.coord_matrix, m + 1, unit_top=False, error=off_frame)
-        return np.broadcast_to(c, (len(b),) + c.shape)
+        x = p_star.coord_matrix[None]  # the one complement, broadcast over the frames
+        return _graph_over_frame(frames, x, m + 1, unit_top=False, error=off_frame)
 
     return NormalizingMap(
         fn=lambda p: p_star,
@@ -187,43 +187,33 @@ def is_asymptotic_direction(direction: TangentDirection, tol: float = 1e-9) -> b
     return float(np.max(minors, initial=0.0)) <= tol * scale * scale
 
 
-def _apply_map(nu: NormalizingMap, p: Subspace, n: int, m: int) -> Subspace:
-    try:
-        star = nu(p)
-    except Exception as exc:
-        raise MapUndefined(f"normalizing map failed at a displaced subspace: {exc}") from exc
-    _check_complement(star, n, m)
-    return star
-
-
 def _graph_stack(
-    nu: NormalizingMap, frame: np.ndarray, m: int, b: np.ndarray, off_frame: FramingFailure
+    nu: NormalizingMap, frames: np.ndarray, m: int, b: np.ndarray, off_frame: FramingFailure
 ) -> np.ndarray:
-    """nu in graph coordinates over frame: the stack c with
-    nu(span(F_top + F_bot b[k])) = span(F_top c[k] + F_bot).
+    """nu in graph coordinates over a stack of frames: the stack c with
+    nu(span(F_top[k] + F_bot[k] b[k])) = span(F_top[k] c[k] + F_bot[k]).
 
-    Uses nu.graph when the map has one.  Otherwise each displaced
-    subspace is built, mapped by nu and written as a graph over the
-    frame, one at a time.  Failures of the map raise MapUndefined and
-    images that are no graph over the frame raise off_frame.
+    Uses nu.graph when the map has one; otherwise each displaced subspace
+    is built and mapped by nu, and the images are written over their
+    frames in one stacked solve.  Failures of the map raise MapUndefined
+    and images that are no graph over their frame raise off_frame.
     """
-    if nu.graph is None:
-        n = frame.shape[0] - 1
-        graphs = []
-        for x in frame[:, : m + 1] + frame[:, m + 1 :] @ b:
-            star = _apply_map(nu, Subspace(ambient_n=n, coord_matrix=x), n, m)
-            graphs.append(
-                _graph_over_frame(frame, star.coord_matrix, m + 1, unit_top=False, error=off_frame)
-            )
-        return np.stack(graphs)
+    n = frames.shape[-1] - 1
     try:
-        return nu.graph(frame, m, b)
+        if nu.graph is not None:
+            return nu.graph(frames, m, b)
+        xs = frames[..., : m + 1] + frames[..., m + 1 :] @ b
+        stars = [nu(Subspace(ambient_n=n, coord_matrix=x)) for x in xs]
     except FramingFailure as exc:
         raise off_frame from exc
     except MapUndefined:
         raise
     except Exception as exc:
         raise MapUndefined(f"normalizing map failed at a displaced subspace: {exc}") from exc
+    for star in stars:
+        _check_complement(star, n, m)
+    images = np.stack([star.coord_matrix for star in stars])
+    return _graph_over_frame(frames, images, m + 1, unit_top=False, error=off_frame)
 
 
 def estimate_fundamental_tensor_in_frame(
@@ -234,19 +224,31 @@ def estimate_fundamental_tensor_in_frame(
     The frame's first m + 1 columns must span the subspace p and the
     remaining columns its complement nu(p).  Returns the raw component
     array lam[alpha][beta][i][j]; see estimate_fundamental_tensor.
+    Raises DimensionMismatch unless the frame is (n + 1) x (n + 1) with
+    0 <= m <= n - 1, and SingularFrame when the frame is singular.
     """
+    frame = ProjectiveFrame(ambient_n=len(frame) - 1, frame_matrix=frame).frame_matrix
+    _check_grassmann_dims(m, len(frame) - 1)
+    return _estimate_in_frames(nu, frame[None], m, eps)[0]
+
+
+def _estimate_in_frames(nu: NormalizingMap, frames: np.ndarray, m: int, eps: float) -> np.ndarray:
+    """Fundamental tensor components of nu in each adapted frame of a
+    (k, n + 1, n + 1) stack, as one (k, m + 1, m + 1, n - m, n - m) array
+    from one graph call over all k * 2 * rho displacements."""
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    gd, ld = m + 1, frame.shape[0] - 1 - m
+    k, gd, ld = len(frames), m + 1, frames.shape[-1] - 1 - m
     rho = gd * ld
     # unit[beta * ld + j] = E_{j, beta}, the move of p's point beta toward point j
     unit = np.eye(rho).reshape(rho, gd, ld).transpose(0, 2, 1)
-    # displacements +eps, -eps of each direction in turn
+    # displacements +eps, -eps of each direction in turn, the same for every frame
     b = (unit[:, None] * np.array([eps, -eps])[:, None, None]).reshape(2 * rho, ld, gd)
     off_frame = FramingFailure("displaced complement is not transverse to the reference frame")
-    c = _graph_stack(nu, frame, m, b, off_frame).reshape(rho, 2, gd, ld)
-    diff = (c[:, 0] - c[:, 1]) / (2.0 * eps)  # diff[beta * ld + j][alpha, i]
-    return diff.reshape(gd, ld, gd, ld).transpose(2, 0, 3, 1)
+    c = _graph_stack(nu, np.repeat(frames, 2 * rho, axis=0), m, np.tile(b, (k, 1, 1)), off_frame)
+    c = c.reshape(k, rho, 2, gd, ld)
+    diff = (c[:, :, 0] - c[:, :, 1]) / (2.0 * eps)  # diff[f, beta * ld + j][alpha, i]
+    return diff.reshape(k, gd, ld, gd, ld).transpose(0, 3, 1, 4, 2)
 
 
 def estimate_fundamental_tensor(
@@ -261,7 +263,6 @@ def estimate_fundamental_tensor(
     differencing of C across the two displacements gives
     lam[alpha][beta][i][j] with O(eps^2) truncation.
     """
-    m, n = pair.m, pair.ambient_n
     frame = adapted_frame(pair).frame_matrix
-    lam = estimate_fundamental_tensor_in_frame(nu, frame, m, eps=eps)
-    return FundamentalTensor(m=m, n=n, lam=lam)
+    lam = _estimate_in_frames(nu, frame[None], pair.m, eps)[0]
+    return FundamentalTensor(m=pair.m, n=pair.ambient_n, lam=lam)

@@ -36,7 +36,7 @@ from .errors import (
     NotPolarAdapted,
     TangentSubspace,
 )
-from .linalg import _dense_zeros, _frozen, as_float_matrix, is_invertible, nullspace
+from .linalg import RANK_RTOL, _dense_zeros, _frozen, as_float_matrix, is_invertible, nullspace
 from .normalization import FundamentalTensor, NormalizingMap
 from .projective_core import ProjectiveFrame, Subspace
 
@@ -92,19 +92,28 @@ class EinsteinResult:
     residual: float
 
 
+def _check_not_tangent(x: np.ndarray, xg: np.ndarray, g: np.ndarray):
+    """Raise TangentSubspace when span(x), or one of a stack, touches the
+    quadric of g: when a singular value of X^T G X is at most RANK_RTOL
+    times ||G|| ||X||^2 (Frobenius norms), a bound on its largest.  Its
+    own largest is no scale: relative to it, a nonzero 1 x 1 Gram passes."""
+    smin = np.linalg.svd(xg @ x, compute_uv=False)[..., -1]
+    if np.any(smin <= RANK_RTOL * np.linalg.norm(g) * np.sum(x * x, axis=(-2, -1))):
+        raise TangentSubspace("subspace is tangent to the quadric")
+
+
 def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
     """Polar complement of p: the null space of Q^T G, for the
     orthonormal basis Q of p.
 
-    Raises TangentSubspace when the restriction Q^T G Q is singular,
-    i.e. when p touches the quadric and the polar is not a complement.
+    Raises TangentSubspace when Q^T G Q is singular relative to G, i.e.
+    when p touches the quadric and the polar is not a complement.
     """
     if p.ambient_n != quadric.n:
         raise DimensionMismatch("subspace and quadric live in different ambient spaces")
     q = p.basis
     qg = q.T @ quadric.matrix
-    if not is_invertible(qg @ q):
-        raise TangentSubspace("subspace is tangent to the quadric")
+    _check_not_tangent(q, qg, quadric.matrix)
     # Q^T G Q is invertible, so Q^T G has full row rank and its null
     # space is known to have dimension n - m: no rank decision is needed
     polar = nullspace(qg, rtol=0.0)
@@ -117,19 +126,18 @@ def polar_map(quadric: Quadric) -> NormalizingMap:
     Its graph action solves every displaced subspace X = F_top + F_bot b
     at once: the polar F_top c + F_bot is conjugate to X exactly when
     (X^T G F_top) c = -(X^T G F_bot).  Raises TangentSubspace when some
-    X^T G X is singular and FramingFailure when some X^T G F_top is,
-    i.e. when that polar meets span(F_top).
+    X^T G X is singular relative to G and FramingFailure when some
+    X^T G F_top is, i.e. when that polar meets span(F_top).
     """
     g = quadric.matrix
 
-    def graph(frame, m, b):
-        if frame.shape[0] != quadric.n + 1:
+    def graph(frames, m, b):
+        if frames.shape[-1] != quadric.n + 1:
             raise DimensionMismatch("subspace and quadric live in different ambient spaces")
-        top, bot = frame[:, : m + 1], frame[:, m + 1 :]
+        top, bot = frames[..., : m + 1], frames[..., m + 1 :]
         x = top + bot @ b
         xg = x.transpose(0, 2, 1) @ g
-        if not is_invertible(xg @ x):
-            raise TangentSubspace("subspace is tangent to the quadric")
+        _check_not_tangent(x, xg, g)
         xg_top = xg @ top
         if not is_invertible(xg_top):
             raise FramingFailure("polar complement meets the span of the frame's first block")

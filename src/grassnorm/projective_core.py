@@ -206,12 +206,13 @@ def _graph_over_frame(
     must be invertible, otherwise error is raised.  Returns the other
     block times the inverse of the unit block, G, so that span(x) is
     spanned by frame @ (I; G) when unit_top and by frame @ (G; I) when
-    not.
+    not.  frame and x may be stacks that broadcast against each other;
+    error is then raised when any unit block is singular.
     """
     coords = np.linalg.solve(frame, x)
-    top, bottom = coords[:split], coords[split:]
+    top, bottom = coords[..., :split, :], coords[..., split:, :]
     unit, other = (top, bottom) if unit_top else (bottom, top)
     if not is_invertible(unit):
         raise error
-    return np.linalg.solve(unit.T, other.T).T
+    return np.linalg.solve(unit.swapaxes(-1, -2), other.swapaxes(-1, -2)).swapaxes(-1, -2)
 

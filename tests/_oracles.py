@@ -1,10 +1,14 @@
 """Independent slow-path evaluations used to check the vectorized code.
 
 These are deliberately written as plain nested loops over tensor
-indices, term by term, so they share no code with the library.
+indices, term by term, so they share no code with the library; the
+five-call covariant derivative at the end is the exception.
 """
 
 import numpy as np
+
+from grassnorm import FramingFailure, adapted_frame, estimate_fundamental_tensor_in_frame
+from grassnorm.normalization import _graph_stack
 
 
 def brute_force_curvature(ft):
@@ -124,3 +128,37 @@ def raw_polar_cross_ratio_trace(points_a, points_b, g):
     xg, yg = x.T @ g, y.T @ g
     w = x @ np.linalg.solve(xg @ x, xg @ y) @ np.linalg.solve(yg @ y, yg)
     return float(np.trace(w))
+
+
+def five_call_covariant_derivative(nu, pair, d, eps):
+    """Covariant derivative and base tensor lam0 in the form of five
+    separate graph calls: lam0 at the base frame, then for t = +eps and
+    t = -eps one transport of the frame and one estimate at it.
+
+    Unlike the loops above it shares the one-frame estimator and the
+    graph action with the library, so that the stacked derivative must
+    reproduce it bit for bit."""
+    m, n = pair.m, pair.ambient_n
+    frame0 = adapted_frame(pair).frame_matrix
+    lam0 = estimate_fundamental_tensor_in_frame(nu, frame0, m, eps=eps)
+    lams, frames = [], []
+    for t in (eps, -eps):
+        b = t * d
+        base = frame0[:, : m + 1] + frame0[:, m + 1 :] @ b
+        off_chart = FramingFailure("complement left the chart of the base frame")
+        graph = _graph_stack(nu, frame0[None], m, b[None], off_chart)[0]
+        frame_t = np.hstack([base, frame0 @ np.vstack([graph, np.eye(n - m)])])
+        frames.append(frame_t)
+        lams.append(estimate_fundamental_tensor_in_frame(nu, frame_t, m, eps=eps))
+    dlam = (lams[0] - lams[1]) / (2.0 * eps)
+    omega = np.linalg.solve(frame0, frames[0] - frames[1]) / (2.0 * eps)
+    greek = omega[: m + 1, : m + 1]
+    latin = omega[m + 1 :, m + 1 :]
+    grad = (
+        dlam
+        - np.einsum("abik,kj->abij", lam0, latin)
+        - np.einsum("abkj,ki->abij", lam0, latin)
+        + np.einsum("acij,bc->abij", lam0, greek)
+        + np.einsum("cbij,ac->abij", lam0, greek)
+    )
+    return grad, lam0

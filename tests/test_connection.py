@@ -33,7 +33,9 @@ from _gen import (
 )
 
 
-from _oracles import brute_force_curvature, brute_force_ricci
+from grassnorm.connection import _covariant_derivative
+
+from _oracles import brute_force_curvature, brute_force_ricci, five_call_covariant_derivative
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 4)])
@@ -154,3 +156,42 @@ def test_covariant_derivative_batched_polar_matches_the_adapter_path():
         lam = polar_lambda(block_metrics(adapted_frame(pair), q, m)).lam
         bound = 100.0 * (eps**2 + u / eps**2) * max(1.0, float(np.max(np.abs(lam))))
         assert np.max(np.abs(batched - adapter)) <= bound
+
+
+def counting_graph_calls(nu, sizes):
+    """nu with a graph action that records the stack size of each call."""
+
+    def graph(frames, m, b):
+        sizes.append(len(b))
+        return nu.graph(frames, m, b)
+
+    return NormalizingMap(fn=nu.fn, tag=nu.tag, graph=graph)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 7)])
+def test_covariant_derivative_makes_two_graph_calls(m, n):
+    rng = np.random.default_rng(50)
+    q = random_quadric(rng, n)
+    pair = random_polar_pair(rng, q, m)
+    d = random_direction(rng, m, n)
+    rho = (m + 1) * (n - m)
+    for nu in (polar_map(q), constant_map(pair.p_star)):
+        sizes = []
+        covariant_derivative_estimate(counting_graph_calls(nu, sizes), pair, d, eps=1e-3)
+        # the transport to p(+eps) and p(-eps), then 2 rho displacements at each of 3 frames
+        assert sizes == [2, 3 * 2 * rho]
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (1, 4), (2, 5), (3, 7), (4, 9)])
+def test_covariant_derivative_equals_the_five_call_form(m, n):
+    rng = np.random.default_rng(51 + n)
+    for _ in range(2):
+        q = random_quadric(rng, n)
+        pair = random_polar_pair(rng, q, m)
+        d = random_direction(rng, m, n)
+        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q), tag="user-polar")
+        for nu in (polar_map(q), constant_map(pair.p_star), user):
+            grad, lam0 = _covariant_derivative(nu, pair, d, 1e-3)
+            ref_grad, ref_lam0 = five_call_covariant_derivative(nu, pair, d.d, 1e-3)
+            np.testing.assert_array_equal(grad, ref_grad)
+            np.testing.assert_array_equal(lam0, ref_lam0)

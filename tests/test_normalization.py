@@ -9,6 +9,7 @@ from grassnorm import (
     MPair,
     NormalizingMap,
     Quadric,
+    SingularFrame,
     Subspace,
     TangentDirection,
     adapted_frame,
@@ -213,13 +214,16 @@ def test_batched_polar_graph_matches_the_adapter_path():
 
 
 def test_tangent_displacement_raises_map_undefined_on_both_paths():
-    # the displaced line span(e0 + 0.5 e2, e1) is tangent to this quadric,
-    # while span(e0, e1) itself is not
-    q = Quadric(n=3, matrix=np.diag([1.0, 1.0, -4.0, 1.0]))
-    frame = np.eye(4)
-    for nu in (polar_map(q), user_polar_map(q)):
-        with pytest.raises(MapUndefined):
-            estimate_fundamental_tensor_in_frame(nu, frame, 1, eps=0.5)
+    # the displaced line span(e0 + 0.5 e2, e1) is tangent to the first
+    # quadric, while span(e0, e1) itself is not; at m = 0 the displaced
+    # point e0 + 0.1 e1 lies on the second quadric, up to a rounding
+    # residue in its 1 x 1 Gram matrix
+    cases = ((np.diag([1.0, 1.0, -4.0, 1.0]), 1, 0.5), (np.diag([1.0, -100.0, 1.0, 1.0]), 0, 0.1))
+    for g, m, eps in cases:
+        q = Quadric(n=3, matrix=g)
+        for nu in (polar_map(q), user_polar_map(q)):
+            with pytest.raises(MapUndefined, match="tangent"):
+                estimate_fundamental_tensor_in_frame(nu, np.eye(4), m, eps=eps)
 
 
 def test_off_chart_displaced_polar_raises_framing_failure_on_both_paths():
@@ -267,6 +271,18 @@ def test_polar_estimators_build_no_subspace_per_displacement(monkeypatch):
     # rho is 4 at G(1,3) and 16 at G(3,7)
     assert counts[(1, 3, "polar:n3")] == counts[(3, 7, "polar:n7")]
     assert counts[(3, 7, "user-polar")] > counts[(1, 3, "user-polar")]
+
+
+def test_in_frame_estimator_rejects_a_bad_m_or_frame():
+    q = Quadric(n=3, matrix=np.diag([1.0, 2.0, 0.5, 1.0]))
+    for nu in (polar_map(q), user_polar_map(q)):
+        for m in (3, -1):
+            with pytest.raises(DimensionMismatch):
+                estimate_fundamental_tensor_in_frame(nu, np.eye(4), m)
+        with pytest.raises(DimensionMismatch):
+            estimate_fundamental_tensor_in_frame(nu, np.eye(4)[:, :3], 1)
+        with pytest.raises(SingularFrame):
+            estimate_fundamental_tensor_in_frame(nu, np.ones((4, 4)), 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])

@@ -60,6 +60,24 @@ def test_tangent_subspace_is_rejected():
         polar_conjugate(tangent, q)
 
 
+def test_isotropic_points_are_tangent():
+    # a point's Gram matrix is 1 x 1, and rounding leaves a nonzero
+    # residue in it, so only a scale taken from G tells it from zero
+    q = Quadric(n=3, matrix=np.diag([1.0, -1.0, 1.0, 1.0]))
+    rng = np.random.default_rng(0)
+    for a, c, e in rng.standard_normal((200, 3)):
+        point = subspace_from_points([[a, np.sqrt(a * a + c * c + e * e), c, e]])
+        with pytest.raises(TangentSubspace):
+            polar_conjugate(point, q)
+
+
+def test_totally_isotropic_line_is_tangent():
+    q = Quadric(n=3, matrix=np.diag([1.0, 1.0, -1.0, -1.0]))
+    line = subspace_from_points([[1, 0, 1, 0], [0, 1, 0, 1]])
+    with pytest.raises(TangentSubspace):
+        polar_conjugate(line, q)
+
+
 def test_quadric_validation():
     with pytest.raises(ValueError):
         Quadric(n=2, matrix=np.array([[1.0, 2.0, 0], [0.0, 1.0, 0], [0, 0, 1]]))
