@@ -366,10 +366,10 @@ def run(argv=None) -> int:
         return 2
     try:
         report = args.handler(args)
+        print(render_report(report))  # rendering refuses non-finite numbers
     except (GeometryError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(report))
     verdicts = report.get("verdicts", {})
     return 0 if all(verdicts.values()) else 1
 

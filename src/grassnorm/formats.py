@@ -86,8 +86,6 @@ def _build(where: str, make, **fields):
 def parse_subspace(data: dict, where: str = "subspace") -> Subspace:
     n = _int_field(data, "n", where)
     points = _matrix_field(data, "points", where)
-    if points.shape[1] != n + 1:
-        raise FormatError(f"{where}: points must have {n + 1} coordinates each")
     return _build(where, subspace_from_points, points=points, ambient_n=n)
 
 

@@ -1,7 +1,7 @@
 """Small numerical helpers shared across the geometric modules.
 
-Rank decisions use singular values with a relative threshold; canonical
-subspace storage uses threshold pivoting on an orthonormal basis.
+Rank and invertibility decisions use singular values with a relative
+threshold; canonical subspaces use threshold pivoting on orthonormal bases.
 """
 
 from __future__ import annotations
@@ -20,15 +20,6 @@ _PIVOT_THRESHOLD = 0.1
 
 # Dense float results larger than this many bytes are refused, not allocated.
 DENSE_BUDGET_BYTES = 2**30
-
-
-def as_float_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndarray:
@@ -74,15 +65,6 @@ def _rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL, atol: flo
     return int(np.count_nonzero(s > max(rtol * s[0], atol)))
 
 
-def nullspace(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the right null space, as columns."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    tol = rtol * s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
-
-
 def _threshold_pivots(q: np.ndarray) -> list:
     """Ascending pivot rows of q, (n+1) x k with orthonormal columns: k
     times, the lowest-index row with residual norm >= _PIVOT_THRESHOLD
@@ -122,20 +104,11 @@ def unit_columns(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def min_max_singular(a: np.ndarray):
-    """Smallest and largest singular value of a, or of each matrix of a
-    (..., k, l) stack."""
-    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-    if s.shape[-1] == 0:
-        return 0.0, 0.0
-    return s[..., -1], s[..., 0]
-
-
 def is_invertible(a: np.ndarray, rtol: float = RANK_RTOL) -> bool:
-    """True when a is square with smin > rtol * smax, or a is a
-    (..., k, k) stack and every matrix in it is."""
+    """True when a is a nonempty square matrix with smin > rtol * smax > 0,
+    or a (..., k, k) stack and every matrix in it is: one SVD, no vectors."""
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         return False
-    smin, smax = min_max_singular(a)
-    return bool(np.all((smax > 0.0) & (smin > rtol * smax)))
+    s = np.linalg.svd(a, compute_uv=False)
+    return bool(np.all((s[..., 0] > 0.0) & (s[..., -1] > rtol * s[..., 0])))

@@ -1,10 +1,10 @@
 """Polar normalization by a nondegenerate quadric.
 
 A symmetric invertible matrix G on homogeneous coordinates defines the
-polarity p -> null(X^T G): the polar of an m-subspace is the
-(n - m - 1)-subspace of points conjugate to all of p.  Wherever p is not
-tangent to the quadric this is a complement, and the resulting
-normalization has fundamental tensor
+polarity p -> span(G^-1 U^T), for equations U of p: the polar of an
+m-subspace is the (n - m - 1)-subspace of points conjugate to all of
+p.  Wherever p is not tangent to the quadric this is a complement, and
+the resulting normalization has fundamental tensor
 
     lam[alpha][beta][i][j] = - g_ab_inv[alpha][beta] * g_ij[i][j]
 
@@ -36,7 +36,7 @@ from .errors import (
     NotPolarAdapted,
     TangentSubspace,
 )
-from .linalg import RANK_RTOL, _dense_zeros, _frozen, as_float_matrix, is_invertible, nullspace
+from .linalg import RANK_RTOL, _dense_zeros, _frozen, is_invertible
 from .normalization import FundamentalTensor, NormalizingMap
 from .projective_core import ProjectiveFrame, Subspace
 
@@ -49,10 +49,8 @@ class Quadric:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = as_float_matrix(self.matrix, "quadric matrix")
         k = self.n + 1
-        if mat.shape != (k, k):
-            raise DimensionMismatch(f"quadric matrix must be {k} x {k}, got {mat.shape}")
+        mat = _frozen(self.matrix, (k, k), "quadric matrix", finite=True)
         scale = float(np.max(np.abs(mat), initial=0.0))
         if scale == 0.0 or float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
             raise ValueError("quadric matrix must be symmetric and nonzero")
@@ -73,12 +71,8 @@ class BlockMetrics:
 
     def __post_init__(self):
         gd, ld = self.m + 1, self.n - self.m
-        sides = {"g_ab": gd, "g_ij": ld, "g_ab_inv": gd}
-        for name, k in sides.items():
-            mat = as_float_matrix(getattr(self, name), name)
-            if mat.shape != (k, k):
-                raise DimensionMismatch(f"{name} must be {k} x {k}, got {mat.shape}")
-            object.__setattr__(self, name, _frozen(mat))
+        for name, k in (("g_ab", gd), ("g_ij", ld), ("g_ab_inv", gd)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), (k, k), name, finite=True))
         # far above the rounding error of any computed inverse
         tol = 1e-8 * np.linalg.norm(self.g_ab) * np.linalg.norm(self.g_ab_inv)
         if float(np.max(np.abs(self.g_ab @ self.g_ab_inv - np.eye(gd)))) > tol:
@@ -103,20 +97,19 @@ def _check_not_tangent(x: np.ndarray, xg: np.ndarray, g: np.ndarray):
 
 
 def polar_conjugate(p: Subspace, quadric: Quadric) -> Subspace:
-    """Polar complement of p: the null space of Q^T G, for the
-    orthonormal basis Q of p.
+    """Polar complement of p: span(G^-1 U^T), for the equations U of p,
+    since G x is orthogonal to span(p) exactly when it is in U's row span.
 
-    Raises TangentSubspace when Q^T G Q is singular relative to G, i.e.
-    when p touches the quadric and the polar is not a complement.
+    Raises TangentSubspace when Q^T G Q is singular relative to G, for the
+    orthonormal basis Q of p, i.e. when p touches the quadric and the
+    polar is not a complement.
     """
     if p.ambient_n != quadric.n:
         raise DimensionMismatch("subspace and quadric live in different ambient spaces")
     q = p.basis
-    qg = q.T @ quadric.matrix
-    _check_not_tangent(q, qg, quadric.matrix)
-    # Q^T G Q is invertible, so Q^T G has full row rank and its null
-    # space is known to have dimension n - m: no rank decision is needed
-    polar = nullspace(qg, rtol=0.0)
+    _check_not_tangent(q, q.T @ quadric.matrix, quadric.matrix)
+    # G is invertible, so the polar has dimension n - m: no rank decision
+    polar = np.linalg.solve(quadric.matrix, p.equations.T)
     return Subspace(ambient_n=p.ambient_n, coord_matrix=polar)
 
 

@@ -5,8 +5,8 @@ coordinate vector of length n + 1, taken up to scale.  An m-dimensional
 subspace is the span of m + 1 independent points and is stored through a
 canonical (n+1) x (m+1) coordinate matrix: a graph over m + 1 threshold
 pivot rows holding the identity, pivot columns ordered by pivot row.
-Canonical storage makes equality of subspaces plain array comparison.
-The same SVD gives orthonormal bases, on which predicates are measured.
+Constructors read one point per row of an array.  The same SVD gives
+orthonormal bases, on which predicates and equality are measured.
 
 An m-pair joins an m-dimensional subspace p with a complementary
 subspace p_star of dimension n - m - 1.  Frames adapted to an m-pair put
@@ -30,32 +30,10 @@ from .linalg import (
     _frozen,
     _rank_from_singular_values,
     _threshold_pivots,
-    as_float_matrix,
     is_invertible,
     svd_rank,
     unit_columns,
 )
-
-
-@dataclass(frozen=True)
-class HomogeneousPoint:
-    """A projective point: nonzero coordinate vector up to scale."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=float).reshape(-1)
-        if v.size < 2:
-            raise DimensionMismatch("a projective point needs at least 2 coordinates")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("point coordinates must be finite")
-        if np.max(np.abs(v)) == 0.0:
-            raise ValueError("the zero vector is not a projective point")
-        object.__setattr__(self, "coords", _frozen(v))
-
-    @property
-    def ambient_n(self) -> int:
-        return self.coords.size - 1
 
 
 @dataclass(frozen=True)
@@ -70,10 +48,10 @@ class Subspace:
     equations: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        mat = as_float_matrix(self.coord_matrix, "coord_matrix")
-        if mat.shape[0] != self.ambient_n + 1:
+        mat = _frozen(self.coord_matrix, name="coord_matrix", finite=True)
+        if mat.ndim != 2 or mat.shape[0] != self.ambient_n + 1:
             raise DimensionMismatch(
-                f"coordinate matrix has {mat.shape[0]} rows, expected {self.ambient_n + 1}"
+                f"coord_matrix must have two axes and {self.ambient_n + 1} rows, got {mat.shape}"
             )
         k = mat.shape[1]
         u, s, _ = np.linalg.svd(mat)
@@ -90,8 +68,8 @@ class Subspace:
         if not np.array_equal(mat[rows], eye):  # else already canonical: kept bit for bit
             mat = q @ np.linalg.inv(q[rows])
             mat[rows] = eye
-            mat.flags.writeable = False  # fresh, so _frozen keeps it without a copy
-        object.__setattr__(self, "coord_matrix", _frozen(mat))
+            mat.flags.writeable = False
+        object.__setattr__(self, "coord_matrix", mat)
         object.__setattr__(self, "basis", q)
         object.__setattr__(self, "equations", u[:, k:].T)
 
@@ -100,11 +78,12 @@ class Subspace:
         return self.coord_matrix.shape[1] - 1
 
     def same_as(self, other: "Subspace", atol: float = 1e-9) -> bool:
-        """Equality of subspaces via their canonical matrices."""
+        """Equality of subspaces up to atol in the sine of the largest
+        principal angle between them, ||equations @ other.basis||_2."""
         return (
             self.ambient_n == other.ambient_n
-            and self.coord_matrix.shape == other.coord_matrix.shape
-            and bool(np.allclose(self.coord_matrix, other.coord_matrix, atol=atol))
+            and self.dim == other.dim
+            and bool(np.linalg.norm(self.equations @ other.basis, 2) <= atol)
         )
 
 
@@ -141,13 +120,11 @@ class ProjectiveFrame:
     frame_matrix: np.ndarray
 
     def __post_init__(self):
-        mat = as_float_matrix(self.frame_matrix, "frame_matrix")
         k = self.ambient_n + 1
-        if mat.shape != (k, k):
-            raise DimensionMismatch(f"frame matrix must be {k} x {k}, got {mat.shape}")
+        mat = _frozen(self.frame_matrix, (k, k), "frame_matrix", finite=True)
         if not is_invertible(mat):
             raise SingularFrame("frame matrix is singular at the working tolerance")
-        object.__setattr__(self, "frame_matrix", _frozen(mat))
+        object.__setattr__(self, "frame_matrix", mat)
 
 
 def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
@@ -155,25 +132,23 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
 
     Parameters
     ----------
-    points : sequence of vectors, HomogeneousPoint, or a matrix
-        Spanning points.  A two-dimensional array is read as one point
-        per row.
+    points : two-dimensional array or sequence of equal-length vectors
+        Spanning points, one point per row.
     ambient_n : optional ambient dimension check.
     """
-    vecs = [
-        r.coords if isinstance(r, HomogeneousPoint) else np.asarray(r, dtype=float).reshape(-1)
-        for r in points
-    ]
-    if not vecs:
+    try:
+        rows = np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged or non-numeric rows
+        raise DimensionMismatch(f"spanning points do not form an array: {exc}") from exc
+    if rows.size == 0:
         raise DependentPoints("need at least one spanning point")
-    length = vecs[0].size
-    if any(v.size != length for v in vecs):
-        raise DimensionMismatch("spanning points have inconsistent lengths")
-    if ambient_n is not None and length != ambient_n + 1:
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"points must be the rows of a 2-D array, got shape {rows.shape}")
+    if ambient_n is not None and rows.shape[1] != ambient_n + 1:
         raise DimensionMismatch(
-            f"points have {length} coordinates, expected {ambient_n + 1}"
+            f"points have {rows.shape[1]} coordinates, expected {ambient_n + 1}"
         )
-    return Subspace(ambient_n=length - 1, coord_matrix=np.column_stack(vecs))
+    return Subspace(ambient_n=rows.shape[1] - 1, coord_matrix=rows.T)
 
 
 def pair_is_valid(pair: MPair) -> bool:

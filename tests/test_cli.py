@@ -224,6 +224,15 @@ def test_eps_that_is_not_positive_and_finite_exits_two(files, capsys, eps):
         assert "eps must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_two_with_nothing_on_stdout(capsys, tol):
+    # the report carries the tolerance, and reports refuse non-finite numbers
+    assert run(["flatness", "--m", "1", "--n", "3", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+
 def test_tangent_subspace_reported_as_error(files, capsys):
     cone = files["write"](
         "cone.json", {"n": 3, "matrix": np.diag([1.0, -1.0, 1.0, 1.0]).tolist()}

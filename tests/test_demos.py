@@ -1,5 +1,6 @@
 """Every demo script runs to completion in-process."""
 
+import re
 import runpy
 import tempfile
 from pathlib import Path
@@ -16,3 +17,13 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out.strip()
     assert not any(tmp_path.iterdir()), "the demo left files in the temp directory"
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's one python block, run as written, so a deleted or
+    # renamed API cannot leave the Quickstart stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert "EinsteinResult(is_einstein=True" in capsys.readouterr().out

@@ -27,7 +27,13 @@ from grassnorm import (
     subspace_from_points,
 )
 
-from _gen import random_block_metrics, random_pair, random_polar_pair, random_quadric
+from _gen import (
+    random_block_metrics,
+    random_orthogonal,
+    random_pair,
+    random_polar_pair,
+    random_quadric,
+)
 from _oracles import raw_polar_basis
 
 
@@ -51,6 +57,17 @@ def test_polar_is_an_involution_and_incident_free():
         # conjugacy: every point of p is orthogonal to every point of p_star
         rel = pair.p.coord_matrix.T @ q.matrix @ pair.p_star.coord_matrix
         assert np.max(np.abs(rel)) <= 1e-12
+    # eigenvalue moduli spread over 1e6: the polar is one solve with G, so
+    # its conjugacy residual is bounded by a multiple of u cond(G) ||G||
+    u = np.finfo(float).eps
+    for n in (3, 4, 6):
+        eigs = np.geomspace(1.0, 1e6, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+        o = random_orthogonal(rng, n + 1)
+        q = Quadric(n=n, matrix=o @ np.diag(eigs) @ o.T)
+        pair = random_polar_pair(rng, q, 1, min_rel_sv=1e-3)
+        assert polar_conjugate(pair.p_star, q).same_as(pair.p, atol=1e-9)
+        rel = np.linalg.norm(pair.p.basis.T @ q.matrix @ pair.p_star.basis, 2)
+        assert rel <= 10.0 * u * np.linalg.cond(q.matrix) * np.linalg.norm(q.matrix, 2)
 
 
 def test_tangent_subspace_is_rejected():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from grassnorm import (
     DependentPoints,
     DimensionMismatch,
-    HomogeneousPoint,
     InvalidPair,
     MPair,
     ProjectiveFrame,
@@ -51,16 +50,45 @@ def test_subspace_mix_invariance_random(seed):
     np.testing.assert_allclose(sub.coord_matrix, remixed.coord_matrix, atol=1e-10)
 
 
-def test_subspace_from_points_accepts_homogeneous_points():
-    pts = [HomogeneousPoint(coords=np.array([1.0, 0.0, 0.0])),
-           HomogeneousPoint(coords=np.array([0.0, 1.0, 0.0]))]
-    sub = subspace_from_points(pts)
-    assert sub.dim == 1 and sub.ambient_n == 2
-
-
 def test_dependent_points_rejected():
     with pytest.raises(DependentPoints):
         subspace_from_points([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+
+
+def test_subspace_from_points_input_errors():
+    for empty in ([], np.empty((0, 4))):
+        with pytest.raises(DependentPoints):
+            subspace_from_points(empty)
+    with pytest.raises(DimensionMismatch):
+        subspace_from_points([[1.0, 0.0, 0.0], [0.0, 1.0]])  # ragged rows
+    with pytest.raises(DimensionMismatch):
+        subspace_from_points([[1.0, 0.0, 0.0]], ambient_n=3)
+    for bad_ndim in (3.0, [1.0, 0.0, 0.0], np.ones((2, 3, 1))):
+        with pytest.raises(DimensionMismatch):
+            subspace_from_points(bad_ndim)
+
+
+def test_subspace_from_points_never_aliases_the_callers_array():
+    # Fortran-ordered rows: their transpose is C-contiguous and shares
+    # memory with them, and it is already canonical, so it is stored as is
+    rows = np.asfortranarray([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.25]])
+    assert rows.T.flags.c_contiguous
+    sub = subspace_from_points(rows)
+    assert np.array_equal(sub.coord_matrix, rows.T)
+    assert rows.flags.writeable and not sub.coord_matrix.flags.writeable
+    rows[0, 2] = 9.0
+    assert sub.coord_matrix[2, 0] == 0.5
+
+
+def test_same_as_measures_the_angle_not_the_stored_entries():
+    a = subspace_from_points([[1, 0, 1, 0], [0, 1, 0, 0]])
+    b = subspace_from_points([[1, 0, 1 + 1e-6, 0], [0, 1, 0, 0]])
+    # the sine of the angle between a and b is 5.0e-7
+    assert not a.same_as(b, atol=1e-9) and not b.same_as(a, atol=1e-9)
+    assert not a.same_as(b, atol=4.9e-7)
+    assert a.same_as(b, atol=5.1e-7) and b.same_as(a, atol=5.1e-7)
+    line = subspace_from_points([[1, 0, 1, 0]])
+    assert not a.same_as(line) and not line.same_as(a)
 
 
 def test_pair_validity_and_invalid_pair_error():
