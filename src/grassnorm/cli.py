@@ -78,8 +78,12 @@ def _report(command, inputs, outputs=None, residuals=None, verdicts=None, tolera
     }
 
 
-def _tol(args) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
+def _tol(args, default=DEFAULT_TOL) -> float:
+    """--tol, else default; NaN and inf pass here, and the report refuses them."""
+    tol = default if args.tol is None else args.tol
+    if tol < 0:
+        raise ValueError(f"--tol must not be negative, got {tol}")
+    return tol
 
 
 def _cmd_cross_ratio(args):
@@ -90,7 +94,7 @@ def _cmd_cross_ratio(args):
     if args.log_distance:
         outputs["log_distance"] = cr_log_distance(pair_a, pair_b)
     inputs = {"pair_a": file_digest(args.pair_a), "pair_b": file_digest(args.pair_b)}
-    return _report("cross-ratio", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("cross-ratio", inputs, outputs=outputs)
 
 
 def _pair_under_map(args):
@@ -108,7 +112,7 @@ def _cmd_estimate_lambda(args):
     outputs = dump_lambda(lam)
     outputs["lambda_rank"] = lambda_rank(lam, atol=10.0 * args.eps)
     outputs["eps"] = args.eps
-    return _report("estimate-lambda", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("estimate-lambda", inputs, outputs=outputs)
 
 
 def _cmd_metric(args):
@@ -122,7 +126,7 @@ def _cmd_metric(args):
         "isotropic_dimension": isotropic_dimension(g),
     }
     inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("metric", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("metric", inputs, outputs=outputs)
 
 
 def _cmd_curvature(args):
@@ -135,7 +139,7 @@ def _cmd_curvature(args):
         "max_abs": curv.max_abs(),
     }
     inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("curvature", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("curvature", inputs, outputs=outputs)
 
 
 def _cmd_ricci(args):
@@ -144,7 +148,7 @@ def _cmd_ricci(args):
     outputs = {"m": ric.m, "n": ric.n, "ricci": ric.ric.tolist()}
     residuals = {"ricci_asymmetry": ric.asymmetry()}
     inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("ricci", inputs, outputs=outputs, residuals=residuals, tolerance=_tol(args))
+    return _report("ricci", inputs, outputs=outputs, residuals=residuals)
 
 
 def _polar_blocks(args):
@@ -191,7 +195,7 @@ def _cmd_polar(args):
     else:  # ricci
         ric = ricci_tensor(polar_lambda(bm))
         outputs = {"ricci": ric.ric.tolist()}
-    return _report("polar", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("polar", inputs, outputs=outputs)
 
 
 def _cmd_einstein(args):
@@ -225,8 +229,7 @@ def _cmd_check_covariant_constancy(args):
     # default threshold: the O(eps^2) truncation of the second difference
     # plus its rounding floor u / eps^2, u the float64 machine epsilon
     u = np.finfo(float).eps
-    default = 100.0 * (args.eps**2 + u / args.eps**2) * max(1.0, lam_scale)
-    threshold = default if args.tol is None else args.tol
+    threshold = _tol(args, default=100.0 * (args.eps**2 + u / args.eps**2) * max(1.0, lam_scale))
     return _report(
         "check covariant-constancy",
         inputs,
@@ -243,7 +246,7 @@ def _cmd_project(args):
     chart = stereographic_projection(p, p_star)
     inputs = {"normalizer": file_digest(args.normalizer), "subspace": file_digest(args.subspace)}
     outputs = {"m": chart.m, "n": chart.n, "B": chart.b.tolist()}
-    return _report("project", inputs, outputs=outputs, tolerance=_tol(args))
+    return _report("project", inputs, outputs=outputs)
 
 
 def _cmd_unproject(args):
@@ -251,7 +254,7 @@ def _cmd_unproject(args):
     p_star = load_subspace(args.normalizer)
     p = inverse_projection(chart, p_star)
     inputs = {"chart": file_digest(args.chart), "normalizer": file_digest(args.normalizer)}
-    return _report("unproject", inputs, outputs={"p": dump_subspace(p)}, tolerance=_tol(args))
+    return _report("unproject", inputs, outputs={"p": dump_subspace(p)})
 
 
 def _cmd_flatness(args):
@@ -265,14 +268,15 @@ def _cmd_flatness(args):
         outputs={"m": args.m, "n": args.n},
         residuals=residuals,
         verdicts={"is_flat": bool(worst == 0.0)},
-        tolerance=_tol(args),
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="verdict tolerance (default 1e-9)")
-    common.add_argument("--eps", type=float, default=DEFAULT_EPS, help="finite-difference step")
+    # each option only on the subcommands that read it
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="verdict tolerance, not negative")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, default=DEFAULT_EPS, help="finite-difference step")
 
     parser = argparse.ArgumentParser(
         prog="grassnorm",
@@ -280,32 +284,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("cross-ratio", parents=[common], help="cross-ratio of two m-pairs")
+    p = sub.add_parser("cross-ratio", help="cross-ratio of two m-pairs")
     p.add_argument("--pair-a", required=True)
     p.add_argument("--pair-b", required=True)
     p.add_argument("--log-distance", action="store_true")
     p.set_defaults(handler=_cmd_cross_ratio)
 
     p = sub.add_parser(
-        "estimate-lambda", parents=[common], help="finite-difference fundamental tensor"
+        "estimate-lambda", parents=[eps], help="finite-difference fundamental tensor"
     )
     p.add_argument("--map", required=True, help="polar:<quadric-file> or constant:<subspace-file>")
     p.add_argument("--subspace", required=True)
     p.set_defaults(handler=_cmd_estimate_lambda)
 
-    p = sub.add_parser("metric", parents=[common], help="symmetrized metric of a tensor file")
+    p = sub.add_parser("metric", help="symmetrized metric of a tensor file")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.set_defaults(handler=_cmd_metric)
 
-    p = sub.add_parser("curvature", parents=[common], help="curvature of the induced connection")
+    p = sub.add_parser("curvature", help="curvature of the induced connection")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.set_defaults(handler=_cmd_curvature)
 
-    p = sub.add_parser("ricci", parents=[common], help="Ricci tensor of the induced connection")
+    p = sub.add_parser("ricci", help="Ricci tensor of the induced connection")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.set_defaults(handler=_cmd_ricci)
 
-    p = sub.add_parser("polar", parents=[common], help="polar normalization by a quadric")
+    p = sub.add_parser("polar", parents=[tol], help="polar normalization by a quadric")
     p.add_argument("--quadric", required=True)
     p.add_argument("--subspace", required=True)
     p.add_argument(
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_polar)
 
-    p = sub.add_parser("einstein", parents=[common], help="Einstein check of a polar normalization")
+    p = sub.add_parser("einstein", parents=[tol], help="Einstein check of a polar normalization")
     p.add_argument("--quadric", required=True)
     p.add_argument("--subspace", required=True)
     p.set_defaults(handler=_cmd_einstein)
@@ -323,29 +327,29 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="residual checks")
     check_sub = check.add_subparsers(dest="check_command")
 
-    p = check_sub.add_parser("homogeneity", parents=[common], help="eight-term quadratic residual")
+    p = check_sub.add_parser("homogeneity", parents=[tol], help="eight-term quadratic residual")
     p.add_argument("--lambda", dest="lambda_file", required=True)
     p.set_defaults(handler=_cmd_check_homogeneity)
 
     p = check_sub.add_parser(
-        "covariant-constancy", parents=[common], help="covariant derivative along a direction"
+        "covariant-constancy", parents=[tol, eps], help="covariant derivative along a direction"
     )
     p.add_argument("--map", required=True)
     p.add_argument("--subspace", required=True)
     p.add_argument("--direction", required=True)
     p.set_defaults(handler=_cmd_check_covariant_constancy)
 
-    p = sub.add_parser("project", parents=[common], help="chart coordinates of a subspace")
+    p = sub.add_parser("project", help="chart coordinates of a subspace")
     p.add_argument("--subspace", required=True)
     p.add_argument("--normalizer", required=True, help="subspace file for the chart center")
     p.set_defaults(handler=_cmd_project)
 
-    p = sub.add_parser("unproject", parents=[common], help="subspace from chart coordinates")
+    p = sub.add_parser("unproject", help="subspace from chart coordinates")
     p.add_argument("--chart", required=True)
     p.add_argument("--normalizer", required=True)
     p.set_defaults(handler=_cmd_unproject)
 
-    p = sub.add_parser("flatness", parents=[common], help="flat-case residuals for G(m, n)")
+    p = sub.add_parser("flatness", help="flat-case residuals for G(m, n)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_flatness)

@@ -64,15 +64,14 @@ def _int_field(data: dict, key: str, where: str) -> int:
     return value
 
 
-def _matrix_field(data: dict, key: str, where: str) -> np.ndarray:
+def _array_field(data: dict, key: str, where: str) -> np.ndarray:
+    """The float array at key; its shape and finiteness are checked by
+    the constructor it feeds, inside _build."""
     value = _require(data, key, where)
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: key {key!r} is not a numeric array") from exc
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise FormatError(f"{where}: key {key!r} must be a finite 2d array")
-    return arr
 
 
 def _build(where: str, make, **fields):
@@ -85,7 +84,7 @@ def _build(where: str, make, **fields):
 
 def parse_subspace(data: dict, where: str = "subspace") -> Subspace:
     n = _int_field(data, "n", where)
-    points = _matrix_field(data, "points", where)
+    points = _array_field(data, "points", where)
     return _build(where, subspace_from_points, points=points, ambient_n=n)
 
 
@@ -107,20 +106,20 @@ def load_pair(path: str | Path) -> MPair:
 def load_quadric(path: str | Path) -> Quadric:
     data = _load_json(path)
     n = _int_field(data, "n", str(path))
-    matrix = _matrix_field(data, "matrix", str(path))
+    matrix = _array_field(data, "matrix", str(path))
     return _build(str(path), Quadric, n=n, matrix=matrix)
 
 
+def _load_m_n_array(path: str | Path, key: str, make, field: str):
+    """make(m=, n=, field=) from a file {"m": int, "n": int, key: array}."""
+    data, where = _load_json(path), str(path)
+    m = _int_field(data, "m", where)
+    n = _int_field(data, "n", where)
+    return _build(where, make, m=m, n=n, **{field: _array_field(data, key, where)})
+
+
 def load_lambda(path: str | Path) -> FundamentalTensor:
-    data = _load_json(path)
-    m = _int_field(data, "m", str(path))
-    n = _int_field(data, "n", str(path))
-    value = _require(data, "lambda", str(path))
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: key 'lambda' is not a numeric array") from exc
-    return _build(str(path), FundamentalTensor, m=m, n=n, lam=arr)
+    return _load_m_n_array(path, "lambda", FundamentalTensor, "lam")
 
 
 def dump_lambda(lam: FundamentalTensor) -> dict:
@@ -128,19 +127,11 @@ def dump_lambda(lam: FundamentalTensor) -> dict:
 
 
 def load_direction(path: str | Path) -> TangentDirection:
-    data = _load_json(path)
-    m = _int_field(data, "m", str(path))
-    n = _int_field(data, "n", str(path))
-    d = _matrix_field(data, "d", str(path))
-    return _build(str(path), TangentDirection, m=m, n=n, d=d)
+    return _load_m_n_array(path, "d", TangentDirection, "d")
 
 
 def load_chart_point(path: str | Path) -> AffineChartPoint:
-    data = _load_json(path)
-    m = _int_field(data, "m", str(path))
-    n = _int_field(data, "n", str(path))
-    b = _matrix_field(data, "B", str(path))
-    return _build(str(path), AffineChartPoint, m=m, n=n, b=b)
+    return _load_m_n_array(path, "B", AffineChartPoint, "b")
 
 
 def parse_map_spec(spec: str) -> tuple[NormalizingMap, dict]:

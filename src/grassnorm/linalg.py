@@ -104,11 +104,11 @@ def unit_columns(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_invertible(a: np.ndarray, rtol: float = RANK_RTOL) -> bool:
-    """True when a is a nonempty square matrix with smin > rtol * smax > 0,
+def is_invertible(a: np.ndarray) -> bool:
+    """True when a is a nonempty square matrix with smin > RANK_RTOL * smax > 0,
     or a (..., k, k) stack and every matrix in it is: one SVD, no vectors."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         return False
     s = np.linalg.svd(a, compute_uv=False)
-    return bool(np.all((s[..., 0] > 0.0) & (s[..., -1] > rtol * s[..., 0])))
+    return bool(np.all((s[..., 0] > 0.0) & (s[..., -1] > RANK_RTOL * s[..., 0])))

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grassnorm.cli import run
+from grassnorm.cli import build_parser, run
 
 from _gen import random_lambda, pair_symmetrized
 
@@ -224,13 +227,77 @@ def test_eps_that_is_not_positive_and_finite_exits_two(files, capsys, eps):
         assert "eps must be positive and finite" in captured.err
 
 
+def _polar_lambda_file(files):
+    lam = -np.einsum("ab,ij->abij", np.eye(2), np.eye(2))
+    return files["write"]("polar_lam.json", {"m": 1, "n": 3, "lambda": lam.tolist()})
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_tol_exits_two_with_nothing_on_stdout(capsys, tol):
+def test_non_finite_tol_exits_two_with_nothing_on_stdout(files, capsys, tol):
     # the report carries the tolerance, and reports refuse non-finite numbers
-    assert run(["flatness", "--m", "1", "--n", "3", "--tol", tol]) == 2
+    lam_file = _polar_lambda_file(files)
+    assert run(["check", "homogeneity", "--lambda", lam_file, "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+
+def test_negative_tol_exits_two_with_nothing_on_stdout(files, capsys):
+    # a negative tolerance would fail every verdict, so it is bad input
+    lam_file = _polar_lambda_file(files)
+    assert run(["check", "homogeneity", "--lambda", lam_file, "--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must not be negative, got -1.0" in captured.err
+
+
+# minimal required arguments of each subcommand; the parser opens no file
+SUBCOMMANDS = {
+    "cross-ratio": ["--pair-a", "a.json", "--pair-b", "b.json"],
+    "estimate-lambda": ["--map", "polar:q.json", "--subspace", "p.json"],
+    "metric": ["--lambda", "lam.json"],
+    "curvature": ["--lambda", "lam.json"],
+    "ricci": ["--lambda", "lam.json"],
+    "polar": ["--quadric", "q.json", "--subspace", "p.json"],
+    "einstein": ["--quadric", "q.json", "--subspace", "p.json"],
+    "check homogeneity": ["--lambda", "lam.json"],
+    "check covariant-constancy": [
+        "--map", "polar:q.json", "--subspace", "p.json", "--direction", "d.json",
+    ],
+    "project": ["--subspace", "p.json", "--normalizer", "c.json"],
+    "unproject": ["--chart", "b.json", "--normalizer", "c.json"],
+    "flatness": ["--m", "1", "--n", "3"],
+}
+READ_BY = {
+    "--tol": {"polar", "einstein", "check homogeneity", "check covariant-constancy"},
+    "--eps": {"estimate-lambda", "check covariant-constancy"},
+}
+
+
+@pytest.mark.parametrize("option", sorted(READ_BY))
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_tol_and_eps_only_where_they_are_read(capsys, command, option):
+    argv = [*command.split(), *SUBCOMMANDS[command], option, "1e-3"]
+    if command in READ_BY[option]:
+        assert getattr(build_parser().parse_args(argv), option[2:]) == 1e-3
+    else:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} 1e-3" in captured.err
+
+
+def test_readme_command_lines_parse():
+    # every grassnorm line of the README's "Command line" block, so the
+    # documented options cannot drift from the parser's
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```sh\n(.*?)^```", section, flags=re.S | re.M)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("grassnorm ") for line in lines)
+    parsed = [build_parser().parse_args(shlex.split(line)[1:]) for line in lines]
+    names = {" ".join(filter(None, [a.command, getattr(a, "check_command", None)])) for a in parsed}
+    assert names == set(SUBCOMMANDS)
 
 
 def test_tangent_subspace_reported_as_error(files, capsys):

@@ -82,12 +82,34 @@ def test_bad_subspace_files_raise_format_or_geometry_errors(tmp_path, payload):
     assert exc_info.type.__name__ in {"FormatError", "DependentPoints", "DimensionMismatch"}
 
 
-def test_lambda_shape_must_match_m_n(tmp_path):
-    path = write(
-        tmp_path, "lam.json", {"m": 1, "n": 3, "lambda": np.zeros((2, 2, 2)).tolist()}
-    )
-    with pytest.raises(FormatError):
-        load_lambda(path)
+# a valid file of each array format: loader, payload, key of its array
+VALID_FILES = {
+    "load_subspace": (load_subspace, {"n": 3, "points": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "points"),
+    "load_quadric": (load_quadric, {"n": 3, "matrix": np.eye(4).tolist()}, "matrix"),
+    "load_lambda": (
+        load_lambda, {"m": 1, "n": 3, "lambda": np.zeros((2, 2, 2, 2)).tolist()}, "lambda"
+    ),
+    "load_direction": (load_direction, {"m": 1, "n": 3, "d": [[1.0, 0.0], [0.0, 1.0]]}, "d"),
+    "load_chart_point": (load_chart_point, {"m": 1, "n": 3, "B": [[0.5, 0.0], [0.0, 0.5]]}, "B"),
+}
+
+
+@pytest.mark.parametrize("defect", ["axis-dropped", "axis-short", "nan"])
+@pytest.mark.parametrize("loader", sorted(VALID_FILES))
+def test_loaders_refuse_a_wrong_shape_or_a_nan(tmp_path, loader, defect):
+    # the loaders only convert; the constructor each array feeds checks it
+    load, payload, key = VALID_FILES[loader]
+    arr = np.array(payload[key], dtype=float)
+    if defect == "axis-dropped":
+        arr = arr[..., 0]  # for lambda, the (2, 2, 2) array of an m = 1, n = 3 file
+    elif defect == "axis-short":
+        arr = arr[..., :-1]
+    else:
+        arr[(0,) * arr.ndim] = np.nan
+    path = write(tmp_path, "bad.json", {**payload, key: arr.tolist()})
+    with pytest.raises(FormatError, match="non-finite" if defect == "nan" else None) as exc_info:
+        load(path)
+    assert str(exc_info.value).startswith(f"{path}: ")
 
 
 def test_map_spec_parsing(tmp_path):
