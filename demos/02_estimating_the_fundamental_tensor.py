@@ -26,6 +26,7 @@ from grassnorm import (
     polar_lambda,
     polar_map,
     subspace_from_points,
+    symmetrize_metric,
 )
 
 # normalization by polarity: the complement of p is its polar with
@@ -52,7 +53,7 @@ print("max |estimate - closed form|:", np.max(np.abs(estimated.lam - exact.lam))
 # no isotropic directions
 print("rank:", lambda_rank(estimated), "of", estimated.rho)
 print("harmonic defect:", harmonic_defect(estimated))
-print("isotropic directions:", isotropic_dimension(estimated))
+print("isotropic directions:", isotropic_dimension(symmetrize_metric(estimated)))
 
 # a constant normalization ignores the displacement entirely, so the
 # tensor is zero

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .connection import (
-    _covariant_derivative,
+    covariant_derivative_estimate,
     curvature_tensor,
     homogeneity_residual,
     ricci_tensor,
@@ -178,6 +178,8 @@ def _einstein_report(command, args):
 def _cmd_polar(args):
     if args.emit == "einstein":
         return _einstein_report("polar", args)
+    if args.tol is not None:
+        raise ValueError("--tol applies only to --emit einstein")
     _, pair, bm, inputs = _polar_blocks(args)
     if args.emit == "conjugate":
         outputs = {"p_star": dump_subspace(pair.p_star)}
@@ -223,8 +225,9 @@ def _cmd_check_covariant_constancy(args):
     nu, pair, inputs = _pair_under_map(args)
     direction = load_direction(args.direction)
     inputs["direction"] = file_digest(args.direction)
-    grad, lam = _covariant_derivative(nu, pair, direction, eps=args.eps)
+    grad = covariant_derivative_estimate(nu, pair, direction, eps=args.eps)
     max_abs = float(np.max(np.abs(grad), initial=0.0))
+    lam = estimate_fundamental_tensor(nu, pair, eps=args.eps).lam
     lam_scale = float(np.max(np.abs(lam), initial=0.0))
     # default threshold: the O(eps^2) truncation of the second difference
     # plus its rounding floor u / eps^2, u the float64 machine epsilon

@@ -24,8 +24,9 @@ exactly when lam is harmonic.
 A normalization is homogeneous when its tensor is covariantly constant;
 an algebraic consequence is the vanishing of the eight-term quadratic
 expression checked by homogeneity_residual.  The covariant derivative
-itself is estimated by finite differences along a tangent direction, in
-two stacked evaluations of the map's graph action.
+itself is estimated by finite differences along a tangent direction: one
+graph call of the map transports the adapted frame to the two displaced
+subspaces, and one more estimates the tensor at both transported frames.
 
 The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
 structural zeros.  curvature_tensor writes each term onto its Kronecker
@@ -186,28 +187,16 @@ def covariant_derivative_estimate(
 
     The subspace path is p(t) spanned by the adapted frame points
     A_beta + t * sum_i d[i][beta] A_{m+1+i}.  The tensor is estimated at
-    p(+eps) and p(-eps) in an adapted frame transported smoothly from
-    the base pair (the canonical frame of a displaced pair need not vary
-    smoothly): one graph call of nu builds both transported frames, and
-    one more estimates the tensor at them and at the base frame.  The
-    frame motion is removed with the Maurer-Cartan coefficients of the
-    same frame path:
-
-        grad[a][b][i][j] = d(lam)[a][b][i][j]
-            - sum_k lam[a][b][i][k] w(j->k) - sum_k lam[a][b][k][j] w(i->k)
-            + sum_c lam[a][c][i][j] w(c->b) + sum_c lam[c][b][i][j] w(c->a)
-
-    where w are per-unit-parameter displacement coefficients.  Result is
-    the 4-index array of derivative components in the base frame;
-    O(eps^2) truncation.
+    p(+eps) and p(-eps) in an adapted frame F(t) transported smoothly
+    from the base frame F0 (the canonical frame of a displaced pair need
+    not vary smoothly): one graph call of nu builds both transported
+    frames, and one more estimates the tensor at them.  The result is
+    the central difference (lam(F(eps)) - lam(F(-eps))) / (2 eps), with
+    no connection term: F0^-1 F(t) = ((I, C(t)), (t d, I)) has constant
+    diagonal blocks, so the induced connection forms vanish along the
+    path.  Result is the 4-index array of derivative components in the
+    base frame; O(eps^2) truncation.
     """
-    return _covariant_derivative(nu, pair, direction, eps)[0]
-
-
-def _covariant_derivative(
-    nu: NormalizingMap, pair: MPair, direction: TangentDirection, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """covariant_derivative_estimate and the base-pair tensor lam it used."""
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     m, n = pair.m, pair.ambient_n
@@ -225,18 +214,5 @@ def _covariant_derivative(
     unit = np.broadcast_to(np.eye(n - m), (2, n - m, n - m))
     comp = frame0 @ np.concatenate([graphs, unit], axis=1)
     moved = np.concatenate([frame0[:, : m + 1] + frame0[:, m + 1 :] @ b, comp], axis=2)
-    lam0, *lams = _estimate_in_frames(nu, np.concatenate([frame0[None], moved]), m, eps)
-
-    dlam = (lams[0] - lams[1]) / (2.0 * eps)
-    omega = np.linalg.solve(frame0, moved[0] - moved[1]) / (2.0 * eps)
-    greek = omega[: m + 1, : m + 1]  # greek[b, c] = w(c -> b)
-    latin = omega[m + 1 :, m + 1 :]  # latin[k, j] = w(j -> k)
-
-    grad = (
-        dlam
-        - np.einsum("abik,kj->abij", lam0, latin)
-        - np.einsum("abkj,ki->abij", lam0, latin)
-        + np.einsum("acij,bc->abij", lam0, greek)
-        + np.einsum("cbij,ac->abij", lam0, greek)
-    )
-    return grad, lam0
+    lam_plus, lam_minus = _estimate_in_frames(nu, moved, m, eps)
+    return (lam_plus - lam_minus) / (2.0 * eps)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure, MapUndefined
-from .linalg import RANK_RTOL, _frozen, svd_rank
+from .linalg import _frozen, svd_rank
 from .projective_core import MPair, ProjectiveFrame, Subspace, _graph_over_frame, adapted_frame
 
 #: default displacement step for finite-difference estimation
@@ -142,23 +142,23 @@ def symmetrize_metric(lam: FundamentalTensor) -> MetricTensor:
     return MetricTensor(m=lam.m, n=lam.n, g=lam.lam)
 
 
-def lambda_rank(lam: FundamentalTensor, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
+def lambda_rank(lam: FundamentalTensor, atol: float = 0.0) -> int:
     """Rank of the flattened tensor, the rank of the normalizing map.
 
     atol sets an absolute singular-value floor, useful for tensors
     estimated by finite differences (use about 10 * eps).
     """
-    return svd_rank(lam.flattened(), rtol=rtol, atol=atol)
+    return svd_rank(lam.flattened(), atol=atol)
 
 
-def metric_rank(g: MetricTensor, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
+def metric_rank(g: MetricTensor) -> int:
     """Rank of the flattened metric tensor."""
-    return svd_rank(g.flattened(), rtol=rtol, atol=atol)
+    return svd_rank(g.flattened())
 
 
-def isotropic_dimension(g: MetricTensor, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
+def isotropic_dimension(g: MetricTensor) -> int:
     """Dimension rho - rank(g) of the null distribution of the metric."""
-    return g.rho - metric_rank(g, rtol=rtol, atol=atol)
+    return g.rho - metric_rank(g)
 
 
 def harmonic_defect(lam: FundamentalTensor) -> float:

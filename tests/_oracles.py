@@ -2,7 +2,8 @@
 
 These are deliberately written as plain nested loops over tensor
 indices, term by term, so they share no code with the library; the
-five-call covariant derivative at the end is the exception.
+five-call covariant derivative and the Maurer-Cartan terms at the end
+are the exception.
 """
 
 import numpy as np
@@ -130,6 +131,21 @@ def raw_polar_cross_ratio_trace(points_a, points_b, g):
     return float(np.trace(w))
 
 
+def _transported_frames(nu, pair, d, eps):
+    """Base adapted frame and the frames at t = +eps and t = -eps
+    transported along p(t), one graph call each."""
+    m, n = pair.m, pair.ambient_n
+    frame0 = adapted_frame(pair).frame_matrix
+    frames = []
+    for t in (eps, -eps):
+        b = t * d
+        base = frame0[:, : m + 1] + frame0[:, m + 1 :] @ b
+        off_chart = FramingFailure("complement left the chart of the base frame")
+        graph = _graph_stack(nu, frame0[None], m, b[None], off_chart)[0]
+        frames.append(np.hstack([base, frame0 @ np.vstack([graph, np.eye(n - m)])]))
+    return frame0, frames
+
+
 def five_call_covariant_derivative(nu, pair, d, eps):
     """Covariant derivative and base tensor lam0 in the form of five
     separate graph calls: lam0 at the base frame, then for t = +eps and
@@ -138,27 +154,31 @@ def five_call_covariant_derivative(nu, pair, d, eps):
     Unlike the loops above it shares the one-frame estimator and the
     graph action with the library, so that the stacked derivative must
     reproduce it bit for bit."""
-    m, n = pair.m, pair.ambient_n
-    frame0 = adapted_frame(pair).frame_matrix
+    frame0, frames = _transported_frames(nu, pair, d, eps)
+    lam0 = estimate_fundamental_tensor_in_frame(nu, frame0, pair.m, eps=eps)
+    lams = [estimate_fundamental_tensor_in_frame(nu, f, pair.m, eps=eps) for f in frames]
+    return (lams[0] - lams[1]) / (2.0 * eps), lam0
+
+
+def maurer_cartan_terms(nu, pair, d, eps):
+    """The connection terms a frame-motion correction would add to the
+    central difference of lam along the transported frames:
+
+        - sum_k lam[a][b][i][k] w(j->k) - sum_k lam[a][b][k][j] w(i->k)
+        + sum_c lam[a][c][i][j] w(c->b) + sum_c lam[c][b][i][j] w(c->a)
+
+    with w the diagonal blocks of F0^-1 (F(+eps) - F(-eps)) / (2 eps) and
+    lam = lam0 at the base frame.  Those blocks are constant along the
+    path, so the terms are rounding noise only."""
+    m = pair.m
+    frame0, frames = _transported_frames(nu, pair, d, eps)
     lam0 = estimate_fundamental_tensor_in_frame(nu, frame0, m, eps=eps)
-    lams, frames = [], []
-    for t in (eps, -eps):
-        b = t * d
-        base = frame0[:, : m + 1] + frame0[:, m + 1 :] @ b
-        off_chart = FramingFailure("complement left the chart of the base frame")
-        graph = _graph_stack(nu, frame0[None], m, b[None], off_chart)[0]
-        frame_t = np.hstack([base, frame0 @ np.vstack([graph, np.eye(n - m)])])
-        frames.append(frame_t)
-        lams.append(estimate_fundamental_tensor_in_frame(nu, frame_t, m, eps=eps))
-    dlam = (lams[0] - lams[1]) / (2.0 * eps)
     omega = np.linalg.solve(frame0, frames[0] - frames[1]) / (2.0 * eps)
-    greek = omega[: m + 1, : m + 1]
-    latin = omega[m + 1 :, m + 1 :]
-    grad = (
-        dlam
-        - np.einsum("abik,kj->abij", lam0, latin)
+    greek = omega[: m + 1, : m + 1]  # greek[b, c] = w(c -> b)
+    latin = omega[m + 1 :, m + 1 :]  # latin[k, j] = w(j -> k)
+    return (
+        -np.einsum("abik,kj->abij", lam0, latin)
         - np.einsum("abkj,ki->abij", lam0, latin)
         + np.einsum("acij,bc->abij", lam0, greek)
         + np.einsum("cbij,ac->abij", lam0, greek)
-    )
-    return grad, lam0
+    ), lam0

@@ -272,19 +272,23 @@ READ_BY = {
     "--tol": {"polar", "einstein", "check homogeneity", "check covariant-constancy"},
     "--eps": {"estimate-lambda", "check covariant-constancy"},
 }
+# options the parser takes but the handler refuses, before it opens a file:
+# polar reads --tol only for --emit einstein
+REFUSED_BY_HANDLER = {("polar", "--tol"): "--tol applies only to --emit einstein"}
 
 
 @pytest.mark.parametrize("option", sorted(READ_BY))
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_tol_and_eps_only_where_they_are_read(capsys, command, option):
     argv = [*command.split(), *SUBCOMMANDS[command], option, "1e-3"]
+    refusal = REFUSED_BY_HANDLER.get((command, option))
     if command in READ_BY[option]:
         assert getattr(build_parser().parse_args(argv), option[2:]) == 1e-3
-    else:
+    if command not in READ_BY[option] or refusal:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {option} 1e-3" in captured.err
+        assert (refusal or f"unrecognized arguments: {option} 1e-3") in captured.err
 
 
 def test_readme_command_lines_parse():
