@@ -2,10 +2,11 @@
 
 Every subcommand prints a single JSON report to stdout with the fields
 command, inputs (file digests), outputs, residuals, verdicts, and
-tolerance.  Keys are sorted and floats carry 17 significant digits, so
-identical inputs give byte-identical reports.  Exit status is 0 when
-all verdicts hold (or there are none), 1 when some verdict fails, and
-2 on input or validation errors.
+tolerance.  Keys are sorted and floats are written in Python's shortest
+round-trip repr; whole-number floats keep their `.0`.  Identical inputs
+give byte-identical reports.  Exit status is 0 when all verdicts hold
+(or there are none), 1 when some verdict fails, and 2 on input or
+validation errors.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _report(command, inputs, outputs=None, residuals=None, verdicts=None, tolera
     verdicts = dict(verdicts or {})
     for key, value in residuals.items():
         if not float(value) >= 0.0:
-            raise ValueError(f"residual {key} is negative")
+            raise ValueError(f"residual {key} must be a non-negative number, got {value}")
     for key in verdicts:
         if key not in residuals:
             raise ValueError(f"verdict {key} has no accompanying residual")

@@ -11,8 +11,9 @@ Formats (all plain JSON):
 Map specifiers are strings "polar:<quadric-file>" or
 "constant:<subspace-file>".
 
-Reports serialize with sorted keys and floats printed to 17 significant
-digits, so identical inputs produce byte-identical output.
+Reports serialize with sorted keys and floats in Python's shortest
+round-trip repr; whole-number floats keep their `.0`.  Identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -158,48 +159,19 @@ def file_digest(path: str | Path) -> dict:
     return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise FormatError("reports cannot contain non-finite numbers")
-    text = format(float(x), ".17g")
-    return text
-
-
-def _serialize(value, out: list):
-    if isinstance(value, dict):
-        out.append("{")
-        for idx, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError("report keys must be strings")
-            if idx:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _serialize(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for idx, item in enumerate(value):
-            if idx:
-                out.append(",")
-            _serialize(item, out)
-        out.append("]")
-    elif isinstance(value, bool) or value is None:
-        out.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(float(value)))
-    elif isinstance(value, np.ndarray):
-        _serialize(value.tolist(), out)
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r} in a report")
+def _plain(value):
+    """json.dumps default hook: numpy arrays and scalars become Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value)!r} in a report")
 
 
 def render_report(report: dict) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    out: list = []
-    _serialize(report, out)
-    return "".join(out)
+    """Deterministic JSON text: sorted keys, compact separators, shortest
+    round-trip floats."""
+    try:
+        return json.dumps(
+            report, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain
+        )
+    except ValueError as exc:
+        raise FormatError("reports cannot contain non-finite numbers") from exc

@@ -108,7 +108,6 @@ class NormalizingMap:
     """
 
     fn: Callable[[Subspace], Subspace]
-    tag: str
     graph: Callable[[np.ndarray, int, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, p: Subspace) -> Subspace:
@@ -129,11 +128,7 @@ def constant_map(p_star: Subspace) -> NormalizingMap:
         x = p_star.coord_matrix[None]  # the one complement, broadcast over the frames
         return _graph_over_frame(frames, x, m + 1, unit_top=False, error=off_frame)
 
-    return NormalizingMap(
-        fn=lambda p: p_star,
-        tag=f"constant:n{p_star.ambient_n}:dim{p_star.dim}",
-        graph=graph,
-    )
+    return NormalizingMap(fn=lambda p: p_star, graph=graph)
 
 
 def symmetrize_metric(lam: FundamentalTensor) -> MetricTensor:

@@ -136,11 +136,7 @@ def polar_map(quadric: Quadric) -> NormalizingMap:
             raise FramingFailure("polar complement meets the span of the frame's first block")
         return -np.linalg.solve(xg_top, xg @ bot)
 
-    return NormalizingMap(
-        fn=lambda p: polar_conjugate(p, quadric),
-        tag=f"polar:n{quadric.n}",
-        graph=graph,
-    )
+    return NormalizingMap(fn=lambda p: polar_conjugate(p, quadric), graph=graph)
 
 
 def block_metrics(frame: ProjectiveFrame, quadric: Quadric, m: int) -> BlockMetrics:

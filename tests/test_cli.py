@@ -46,7 +46,12 @@ def files(tmp_path):
 def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    if not out.strip():
+        return code, None
+    rep = json.loads(out)
+    # every report is the standard encoder's canonical text of itself
+    assert out == json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
+    return code, rep
 
 
 def test_cross_ratio_report(files, capsys):
@@ -193,6 +198,7 @@ def test_flatness_command(files, capsys):
     assert code == 0
     assert rep["verdicts"]["is_flat"] is True
     assert rep["residuals"]["lambda_rank"] == 0
+    assert type(rep["residuals"]["is_flat"]) is float
 
 
 def test_reports_are_byte_identical_across_runs(files, capsys):
@@ -249,6 +255,17 @@ def test_negative_tol_exits_two_with_nothing_on_stdout(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol must not be negative, got -1.0" in captured.err
+
+
+# entries of 1e200 overflow the residual's products to inf - inf = nan
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_exits_two_naming_the_value(files, capsys):
+    lam = np.full((2, 2, 2, 2), 1e200)
+    lam_file = files["write"]("huge_lam.json", {"m": 1, "n": 3, "lambda": lam.tolist()})
+    assert run(["check", "homogeneity", "--lambda", lam_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residual is_homogeneous must be a non-negative number, got nan" in captured.err
 
 
 # minimal required arguments of each subcommand; the parser opens no file

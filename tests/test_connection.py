@@ -153,7 +153,7 @@ def test_covariant_derivative_batched_polar_matches_the_adapter_path():
         q = random_quadric(rng, n)
         pair = random_polar_pair(rng, q, m)
         d = random_direction(rng, m, n)
-        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q), tag="user-polar")
+        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q))
         batched = covariant_derivative_estimate(polar_map(q), pair, d, eps=eps)
         adapter = covariant_derivative_estimate(user, pair, d, eps=eps)
         lam = polar_lambda(block_metrics(adapted_frame(pair), q, m)).lam
@@ -168,7 +168,7 @@ def counting_graph_calls(nu, sizes):
         sizes.append(len(b))
         return nu.graph(frames, m, b)
 
-    return NormalizingMap(fn=nu.fn, tag=nu.tag, graph=graph)
+    return NormalizingMap(fn=nu.fn, graph=graph)
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (3, 7)])
@@ -192,7 +192,7 @@ def test_covariant_derivative_equals_the_five_call_form(m, n):
         q = random_quadric(rng, n)
         pair = random_polar_pair(rng, q, m)
         d = random_direction(rng, m, n)
-        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q), tag="user-polar")
+        user = NormalizingMap(fn=lambda p, q=q: polar_conjugate(p, q))
         for nu in (polar_map(q), constant_map(pair.p_star), user):
             grad = covariant_derivative_estimate(nu, pair, d, 1e-3)
             ref_grad, ref_lam0 = five_call_covariant_derivative(nu, pair, d.d, 1e-3)
@@ -210,7 +210,7 @@ def test_maurer_cartan_terms_of_the_transported_frame_are_rounding_noise(m, n):
     q = random_quadric(rng, n)
     pair = random_polar_pair(rng, q, m)
     d = random_direction(rng, m, n)
-    user = NormalizingMap(fn=lambda p: polar_conjugate(p, q), tag="user-polar")
+    user = NormalizingMap(fn=lambda p: polar_conjugate(p, q))
     for nu in (polar_map(q), constant_map(pair.p_star), user):
         for eps in (1e-3, 1e-5):
             terms, lam0 = maurer_cartan_terms(nu, pair, d.d, eps)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from grassnorm import subspace_from_points
+from grassnorm import polar_conjugate, subspace_from_points
 from grassnorm.formats import (
     FormatError,
     dump_lambda,
@@ -113,13 +114,17 @@ def test_loaders_refuse_a_wrong_shape_or_a_nan(tmp_path, loader, defect):
 
 
 def test_map_spec_parsing(tmp_path):
+    # under the identity quadric the polar of span(e0, e1) is span(e2, e3),
+    # which is also the constant complement written to s.json
+    p = subspace_from_points([[1, 0, 0, 0], [0, 1, 0, 0]])
     quad_path = write(tmp_path, "q.json", {"n": 3, "matrix": np.eye(4).tolist()})
     nu, digest = parse_map_spec(f"polar:{quad_path}")
-    assert nu.tag.startswith("polar:") and "map" in digest
+    assert "map" in digest
+    assert nu(p).same_as(polar_conjugate(p, load_quadric(quad_path)))
 
     sub_path = write(tmp_path, "s.json", {"n": 3, "points": [[0, 0, 1, 0], [0, 0, 0, 1]]})
     nu2, _ = parse_map_spec(f"constant:{sub_path}")
-    assert nu2.tag.startswith("constant:")
+    assert nu2(p).same_as(load_subspace(sub_path))
 
     with pytest.raises(FormatError):
         parse_map_spec("spherical:q.json")
@@ -158,6 +163,10 @@ def test_render_report_rejects_non_finite():
 
 
 def test_render_report_float_formatting_roundtrips():
-    vals = [1e-17, -0.0, 1 / 3, 2.0**-52, 12345.6789e300]
+    vals = [1e-17, -0.0, 1 / 3, 2.0**-52, 12345.6789e300, 2.0]
     text = render_report({"v": vals})
-    assert json.loads(text)["v"] == vals
+    back = json.loads(text)["v"]
+    assert back == vals
+    # whole-number floats read back as floats, and -0.0 keeps its sign
+    assert all(type(x) is float for x in back)
+    assert math.copysign(1.0, back[1]) == -1.0

@@ -204,7 +204,6 @@ def test_polar_map_evaluates_the_conjugate():
     nu = polar_map(q)
     pair = random_polar_pair(rng, q, 1)
     assert nu(pair.p).same_as(pair.p_star)
-    assert nu.tag.startswith("polar:")
 
 
 def test_block_metrics_rejects_an_inverse_that_is_not_one():

@@ -36,7 +36,7 @@ def moving_quadric_map(q: Quadric, h: np.ndarray, e: np.ndarray, s: float) -> No
         weight = float(np.sum((basis.T @ e) ** 2))  # e^T P_p e
         return polar_conjugate(p, Quadric(n=q.n, matrix=q.matrix + s * weight * h))
 
-    return NormalizingMap(fn=fn, tag="moving-quadric")
+    return NormalizingMap(fn=fn)
 
 
 def halving_ratio(estimates):
