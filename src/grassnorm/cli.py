@@ -26,7 +26,6 @@ from .errors import GeometryError
 from .formats import (
     dump_lambda,
     dump_subspace,
-    file_digest,
     load_chart_point,
     load_direction,
     load_lambda,
@@ -88,23 +87,20 @@ def _tol(args, default=DEFAULT_TOL) -> float:
 
 
 def _cmd_cross_ratio(args):
-    pair_a = load_pair(args.pair_a)
-    pair_b = load_pair(args.pair_b)
+    pair_a, digest_a = load_pair(args.pair_a)
+    pair_b, digest_b = load_pair(args.pair_b)
     w = cross_ratio(pair_a, pair_b)
     outputs = {"m": w.m, "n": w.ambient_n, "trace": w.trace, "w": w.w.tolist()}
     if args.log_distance:
         outputs["log_distance"] = cr_log_distance(pair_a, pair_b)
-    inputs = {"pair_a": file_digest(args.pair_a), "pair_b": file_digest(args.pair_b)}
-    return _report("cross-ratio", inputs, outputs=outputs)
+    return _report("cross-ratio", {"pair_a": digest_a, "pair_b": digest_b}, outputs=outputs)
 
 
 def _pair_under_map(args):
-    nu, map_input = parse_map_spec(args.map)
-    p = load_subspace(args.subspace)
+    nu, map_digest = parse_map_spec(args.map)
+    p, p_digest = load_subspace(args.subspace)
     pair = MPair(p=p, p_star=nu(p))
-    inputs = dict(map_input)
-    inputs["subspace"] = file_digest(args.subspace)
-    return nu, pair, inputs
+    return nu, pair, {"map": map_digest, "subspace": p_digest}
 
 
 def _cmd_estimate_lambda(args):
@@ -117,7 +113,7 @@ def _cmd_estimate_lambda(args):
 
 
 def _cmd_metric(args):
-    lam = load_lambda(args.lambda_file)
+    lam, lam_digest = load_lambda(args.lambda_file)
     g = symmetrize_metric(lam)
     outputs = {
         "m": g.m,
@@ -126,12 +122,11 @@ def _cmd_metric(args):
         "metric_rank": metric_rank(g),
         "isotropic_dimension": isotropic_dimension(g),
     }
-    inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("metric", inputs, outputs=outputs)
+    return _report("metric", {"lambda": lam_digest}, outputs=outputs)
 
 
 def _cmd_curvature(args):
-    lam = load_lambda(args.lambda_file)
+    lam, lam_digest = load_lambda(args.lambda_file)
     curv = curvature_tensor(lam)
     outputs = {
         "m": curv.m,
@@ -139,27 +134,23 @@ def _cmd_curvature(args):
         "curvature": curv.r.tolist(),
         "max_abs": curv.max_abs(),
     }
-    inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("curvature", inputs, outputs=outputs)
+    return _report("curvature", {"lambda": lam_digest}, outputs=outputs)
 
 
 def _cmd_ricci(args):
-    lam = load_lambda(args.lambda_file)
+    lam, lam_digest = load_lambda(args.lambda_file)
     ric = ricci_tensor(lam)
     outputs = {"m": ric.m, "n": ric.n, "ricci": ric.ric.tolist()}
     residuals = {"ricci_asymmetry": ric.asymmetry()}
-    inputs = {"lambda": file_digest(args.lambda_file)}
-    return _report("ricci", inputs, outputs=outputs, residuals=residuals)
+    return _report("ricci", {"lambda": lam_digest}, outputs=outputs, residuals=residuals)
 
 
 def _polar_blocks(args):
-    quadric = load_quadric(args.quadric)
-    p = load_subspace(args.subspace)
-    p_star = polar_conjugate(p, quadric)
-    pair = MPair(p=p, p_star=p_star)
+    quadric, quadric_digest = load_quadric(args.quadric)
+    p, p_digest = load_subspace(args.subspace)
+    pair = MPair(p=p, p_star=polar_conjugate(p, quadric))
     bm = block_metrics(adapted_frame(pair), quadric, p.dim)
-    inputs = {"quadric": file_digest(args.quadric), "subspace": file_digest(args.subspace)}
-    return quadric, pair, bm, inputs
+    return quadric, pair, bm, {"quadric": quadric_digest, "subspace": p_digest}
 
 
 def _einstein_report(command, args):
@@ -206,15 +197,14 @@ def _cmd_einstein(args):
 
 
 def _cmd_check_homogeneity(args):
-    lam = load_lambda(args.lambda_file)
+    lam, lam_digest = load_lambda(args.lambda_file)
     tol = _tol(args)
     residual = homogeneity_residual(lam)
     scale = float(np.max(np.abs(lam.lam), initial=0.0))
     threshold = tol * scale * scale
-    inputs = {"lambda": file_digest(args.lambda_file)}
     return _report(
         "check homogeneity",
-        inputs,
+        {"lambda": lam_digest},
         outputs={"lambda_max_abs": scale, "threshold": threshold},
         residuals={"is_homogeneous": residual},
         verdicts={"is_homogeneous": bool(residual <= threshold)},
@@ -224,8 +214,7 @@ def _cmd_check_homogeneity(args):
 
 def _cmd_check_covariant_constancy(args):
     nu, pair, inputs = _pair_under_map(args)
-    direction = load_direction(args.direction)
-    inputs["direction"] = file_digest(args.direction)
+    direction, inputs["direction"] = load_direction(args.direction)
     grad = covariant_derivative_estimate(nu, pair, direction, eps=args.eps)
     max_abs = float(np.max(np.abs(grad), initial=0.0))
     lam = estimate_fundamental_tensor(nu, pair, eps=args.eps).lam
@@ -245,19 +234,19 @@ def _cmd_check_covariant_constancy(args):
 
 
 def _cmd_project(args):
-    p = load_subspace(args.subspace)
-    p_star = load_subspace(args.normalizer)
+    p, p_digest = load_subspace(args.subspace)
+    p_star, center_digest = load_subspace(args.normalizer)
     chart = stereographic_projection(p, p_star)
-    inputs = {"normalizer": file_digest(args.normalizer), "subspace": file_digest(args.subspace)}
+    inputs = {"normalizer": center_digest, "subspace": p_digest}
     outputs = {"m": chart.m, "n": chart.n, "B": chart.b.tolist()}
     return _report("project", inputs, outputs=outputs)
 
 
 def _cmd_unproject(args):
-    chart = load_chart_point(args.chart)
-    p_star = load_subspace(args.normalizer)
+    chart, chart_digest = load_chart_point(args.chart)
+    p_star, center_digest = load_subspace(args.normalizer)
     p = inverse_projection(chart, p_star)
-    inputs = {"chart": file_digest(args.chart), "normalizer": file_digest(args.normalizer)}
+    inputs = {"chart": chart_digest, "normalizer": center_digest}
     return _report("unproject", inputs, outputs={"p": dump_subspace(p)})
 
 
@@ -281,6 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--tol", type=float, default=None, help="verdict tolerance, not negative")
     eps = argparse.ArgumentParser(add_help=False)
     eps.add_argument("--eps", type=float, default=DEFAULT_EPS, help="finite-difference step")
+    under_map = argparse.ArgumentParser(add_help=False)  # read by _pair_under_map
+    under_map.add_argument(
+        "--map", required=True, help="polar:<quadric-file> or constant:<subspace-file>"
+    )
+    under_map.add_argument("--subspace", required=True)
 
     parser = argparse.ArgumentParser(
         prog="grassnorm",
@@ -295,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cross_ratio)
 
     p = sub.add_parser(
-        "estimate-lambda", parents=[eps], help="finite-difference fundamental tensor"
+        "estimate-lambda", parents=[eps, under_map], help="finite-difference fundamental tensor"
     )
-    p.add_argument("--map", required=True, help="polar:<quadric-file> or constant:<subspace-file>")
-    p.add_argument("--subspace", required=True)
     p.set_defaults(handler=_cmd_estimate_lambda)
 
     p = sub.add_parser("metric", help="symmetrized metric of a tensor file")
@@ -336,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_homogeneity)
 
     p = check_sub.add_parser(
-        "covariant-constancy", parents=[tol, eps], help="covariant derivative along a direction"
+        "covariant-constancy",
+        parents=[tol, eps, under_map],
+        help="covariant derivative along a direction",
     )
-    p.add_argument("--map", required=True)
-    p.add_argument("--subspace", required=True)
     p.add_argument("--direction", required=True)
     p.set_defaults(handler=_cmd_check_covariant_constancy)
 

@@ -11,6 +11,10 @@ Formats (all plain JSON):
 Map specifiers are strings "polar:<quadric-file>" or
 "constant:<subspace-file>".
 
+Each loader reads its file once and returns (object, digest), the digest
+{"path": ..., "sha256": ...} being of the bytes it parsed, so a report
+pins exactly what it measured, also when the input is a pipe.
+
 Reports serialize with sorted keys and floats in Python's shortest
 round-trip repr; whole-number floats keep their `.0`.  Identical inputs
 produce byte-identical output.
@@ -39,17 +43,18 @@ class FormatError(ValueError):
     """Raised when an input file does not match its declared format."""
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path) -> tuple[dict, dict]:
+    """The JSON object in the file at path, and the digest of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        blob = Path(path).read_bytes()
+        data = json.loads(blob.decode("utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
-    return data
+    return data, {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 def _require(data: dict, key: str, where: str):
@@ -89,37 +94,38 @@ def parse_subspace(data: dict, where: str = "subspace") -> Subspace:
     return _build(where, subspace_from_points, points=points, ambient_n=n)
 
 
-def load_subspace(path: str | Path) -> Subspace:
-    return parse_subspace(_load_json(path), where=str(path))
+def load_subspace(path: str | Path) -> tuple[Subspace, dict]:
+    data, digest = _load_json(path)
+    return parse_subspace(data, where=str(path)), digest
 
 
 def dump_subspace(sub: Subspace) -> dict:
     return {"n": sub.ambient_n, "points": sub.coord_matrix.T.tolist()}
 
 
-def load_pair(path: str | Path) -> MPair:
-    data = _load_json(path)
+def load_pair(path: str | Path) -> tuple[MPair, dict]:
+    data, digest = _load_json(path)
     p = parse_subspace(_require(data, "p", str(path)), where=f"{path}:p")
     p_star = parse_subspace(_require(data, "p_star", str(path)), where=f"{path}:p_star")
-    return _build(str(path), MPair, p=p, p_star=p_star)
+    return _build(str(path), MPair, p=p, p_star=p_star), digest
 
 
-def load_quadric(path: str | Path) -> Quadric:
-    data = _load_json(path)
+def load_quadric(path: str | Path) -> tuple[Quadric, dict]:
+    data, digest = _load_json(path)
     n = _int_field(data, "n", str(path))
     matrix = _array_field(data, "matrix", str(path))
-    return _build(str(path), Quadric, n=n, matrix=matrix)
+    return _build(str(path), Quadric, n=n, matrix=matrix), digest
 
 
 def _load_m_n_array(path: str | Path, key: str, make, field: str):
-    """make(m=, n=, field=) from a file {"m": int, "n": int, key: array}."""
-    data, where = _load_json(path), str(path)
+    """(make(m=, n=, field=), digest) from a file {"m": int, "n": int, key: array}."""
+    (data, digest), where = _load_json(path), str(path)
     m = _int_field(data, "m", where)
     n = _int_field(data, "n", where)
-    return _build(where, make, m=m, n=n, **{field: _array_field(data, key, where)})
+    return _build(where, make, m=m, n=n, **{field: _array_field(data, key, where)}), digest
 
 
-def load_lambda(path: str | Path) -> FundamentalTensor:
+def load_lambda(path: str | Path) -> tuple[FundamentalTensor, dict]:
     return _load_m_n_array(path, "lambda", FundamentalTensor, "lam")
 
 
@@ -127,36 +133,27 @@ def dump_lambda(lam: FundamentalTensor) -> dict:
     return {"m": lam.m, "n": lam.n, "lambda": lam.lam.tolist()}
 
 
-def load_direction(path: str | Path) -> TangentDirection:
+def load_direction(path: str | Path) -> tuple[TangentDirection, dict]:
     return _load_m_n_array(path, "d", TangentDirection, "d")
 
 
-def load_chart_point(path: str | Path) -> AffineChartPoint:
+def load_chart_point(path: str | Path) -> tuple[AffineChartPoint, dict]:
     return _load_m_n_array(path, "B", AffineChartPoint, "b")
 
 
 def parse_map_spec(spec: str) -> tuple[NormalizingMap, dict]:
-    """Build a normalizing map from "polar:<file>" or "constant:<file>".
-
-    Also returns the input-digest entry for the referenced file.
-    """
+    """Build a normalizing map from "polar:<file>" or "constant:<file>",
+    and return it with the digest of that file."""
     kind, sep, path = spec.partition(":")
     if not sep or not path:
         raise FormatError("map specifier must look like polar:<file> or constant:<file>")
     if kind == "polar":
-        return polar_map(load_quadric(path)), {"map": file_digest(path)}
+        quadric, digest = load_quadric(path)
+        return polar_map(quadric), digest
     if kind == "constant":
-        return constant_map(load_subspace(path)), {"map": file_digest(path)}
+        p_star, digest = load_subspace(path)
+        return constant_map(p_star), digest
     raise FormatError(f"unknown map kind {kind!r}; use polar: or constant:")
-
-
-def file_digest(path: str | Path) -> dict:
-    """Path and sha256 of an input file, so reports pin their inputs."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 def _plain(value):

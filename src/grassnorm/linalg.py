@@ -52,17 +52,17 @@ def _dense_zeros(shape: tuple, what: str) -> np.ndarray:
     return np.zeros(shape)
 
 
-def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
-    """Numerical rank: singular values above max(rtol * s_max, atol)."""
+def svd_rank(a: np.ndarray, atol: float = 0.0) -> int:
+    """Numerical rank: singular values above max(RANK_RTOL * s_max, atol)."""
     s = np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=float)), compute_uv=False)
-    return _rank_from_singular_values(s, rtol, atol)
+    return _rank_from_singular_values(s, atol)
 
 
-def _rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int:
-    """Count of the descending singular values s above max(rtol * s[0], atol)."""
+def _rank_from_singular_values(s: np.ndarray, atol: float = 0.0) -> int:
+    """Count of the descending singular values s above max(RANK_RTOL * s[0], atol)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > max(rtol * s[0], atol)))
+    return int(np.count_nonzero(s > max(RANK_RTOL * s[0], atol)))
 
 
 def _threshold_pivots(q: np.ndarray) -> list:

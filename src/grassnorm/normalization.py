@@ -126,7 +126,7 @@ def constant_map(p_star: Subspace) -> NormalizingMap:
         _check_complement(p_star, frames.shape[-1] - 1, m)
         off_frame = FramingFailure("the constant complement is no graph over the frame")
         x = p_star.coord_matrix[None]  # the one complement, broadcast over the frames
-        return _graph_over_frame(frames, x, m + 1, unit_top=False, error=off_frame)
+        return _graph_over_frame(frames, x, unit_top=False, error=off_frame)
 
     return NormalizingMap(fn=lambda p: p_star, graph=graph)
 
@@ -208,7 +208,7 @@ def _graph_stack(
     for star in stars:
         _check_complement(star, n, m)
     images = np.stack([star.coord_matrix for star in stars])
-    return _graph_over_frame(frames, images, m + 1, unit_top=False, error=off_frame)
+    return _graph_over_frame(frames, images, unit_top=False, error=off_frame)
 
 
 def estimate_fundamental_tensor_in_frame(

@@ -31,7 +31,6 @@ from .linalg import (
     _rank_from_singular_values,
     _threshold_pivots,
     is_invertible,
-    svd_rank,
     unit_columns,
 )
 
@@ -155,8 +154,8 @@ def pair_is_valid(pair: MPair) -> bool:
     """True when p and p_star together span the ambient space: every
     singular value of U X, for p's basis X and p_star's equations U, is
     above RANK_RTOL; the smallest is the sine of the angle between them."""
-    ux = pair.p_star.equations @ pair.p.basis
-    return svd_rank(ux, rtol=0.0, atol=RANK_RTOL) == ux.shape[0]
+    ux = pair.p_star.equations @ pair.p.basis  # (m+1) x (m+1), nonempty
+    return bool(np.linalg.svd(ux, compute_uv=False)[-1] > RANK_RTOL)
 
 
 def adapted_frame(pair: MPair) -> ProjectiveFrame:
@@ -172,19 +171,20 @@ def adapted_frame(pair: MPair) -> ProjectiveFrame:
 
 
 def _graph_over_frame(
-    frame: np.ndarray, x: np.ndarray, split: int, unit_top: bool, error: Exception
+    frame: np.ndarray, x: np.ndarray, unit_top: bool, error: Exception
 ) -> np.ndarray:
     """Write span(x) as a graph over one block of the frame's points.
 
-    Solves frame @ coords = x and splits the rows of coords at split.
-    The unit block (the top rows when unit_top, else the bottom rows)
-    must be invertible, otherwise error is raised.  Returns the other
-    block times the inverse of the unit block, G, so that span(x) is
-    spanned by frame @ (I; G) when unit_top and by frame @ (G; I) when
-    not.  frame and x may be stacks that broadcast against each other;
-    error is then raised when any unit block is singular.
+    Solves frame @ coords = x.  The unit block, the x.shape[-1] top rows
+    of coords when unit_top, else its x.shape[-1] bottom rows, must be
+    invertible, otherwise error is raised.  Returns the other block times
+    the inverse of the unit block, G, so that span(x) is spanned by
+    frame @ (I; G) when unit_top and by frame @ (G; I) when not.  frame
+    and x may be stacks that broadcast against each other; error is then
+    raised when any unit block is singular.
     """
     coords = np.linalg.solve(frame, x)
+    split = x.shape[-1] if unit_top else coords.shape[-2] - x.shape[-1]
     top, bottom = coords[..., :split, :], coords[..., split:, :]
     unit, other = (top, bottom) if unit_top else (bottom, top)
     if not is_invertible(unit):

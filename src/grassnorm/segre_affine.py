@@ -72,7 +72,7 @@ def stereographic_projection(p: Subspace, p_star: Subspace) -> AffineChartPoint:
         )
     frame = chart_frame(p_star).frame_matrix
     meets = NotComplementary("subspace meets the chart center")
-    b = _graph_over_frame(frame, p.coord_matrix, m + 1, unit_top=True, error=meets)
+    b = _graph_over_frame(frame, p.coord_matrix, unit_top=True, error=meets)
     return AffineChartPoint(m=m, n=n, b=b)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -102,6 +104,20 @@ def test_metric_curvature_ricci_pipeline(files, capsys, tmp_path):
     code, rep = invoke(capsys, ["ricci", "--lambda", lam_file])
     assert code == 0
     assert rep["residuals"]["ricci_asymmetry"] > 0
+
+
+def test_piped_input_is_digested_from_the_bytes_parsed(files, capsys):
+    # a pipe can be read only once, so the digest must be of the bytes parsed
+    blob = Path(_polar_lambda_file(files)).read_bytes()
+    read_end, write_end = os.pipe()
+    os.write(write_end, blob)
+    os.close(write_end)  # the loader sees end of file after the blob
+    try:
+        code, rep = invoke(capsys, ["metric", "--lambda", f"/dev/fd/{read_end}"])
+    finally:
+        os.close(read_end)
+    assert code == 0
+    assert rep["inputs"]["lambda"]["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_polar_emit_variants(files, capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from grassnorm.formats import (
     FormatError,
     dump_lambda,
     dump_subspace,
-    file_digest,
     load_chart_point,
     load_direction,
     load_lambda,
@@ -32,7 +33,7 @@ def write(tmp_path, name, payload):
 def test_subspace_roundtrip(tmp_path):
     sub = subspace_from_points([[1.0, 0.5, 0.0, 2.0], [0.0, 1.0, -1.0, 0.25]])
     path = write(tmp_path, "s.json", dump_subspace(sub))
-    again = load_subspace(path)
+    again, _ = load_subspace(path)
     assert again.same_as(sub)
     np.testing.assert_array_equal(again.coord_matrix, sub.coord_matrix)
 
@@ -40,7 +41,7 @@ def test_subspace_roundtrip(tmp_path):
 def test_lambda_roundtrip(tmp_path):
     ft = random_lambda(np.random.default_rng(71), 1, 4)
     path = write(tmp_path, "l.json", dump_lambda(ft))
-    again = load_lambda(path)
+    again, _ = load_lambda(path)
     assert again.m == ft.m and again.n == ft.n
     np.testing.assert_array_equal(again.lam, ft.lam)
 
@@ -54,17 +55,17 @@ def test_pair_quadric_direction_chart_loaders(tmp_path):
             "p_star": {"n": 3, "points": [[0, 0, 1, 0], [0, 0, 0, 1]]},
         },
     )
-    pair = load_pair(pair_path)
+    pair, _ = load_pair(pair_path)
     assert pair.m == 1 and pair.ambient_n == 3
 
     quad_path = write(tmp_path, "q.json", {"n": 3, "matrix": np.eye(4).tolist()})
-    assert load_quadric(quad_path).n == 3
+    assert load_quadric(quad_path)[0].n == 3
 
     dir_path = write(tmp_path, "d.json", {"m": 1, "n": 3, "d": [[1.0, 0.0], [0.0, 1.0]]})
-    assert load_direction(dir_path).d.shape == (2, 2)
+    assert load_direction(dir_path)[0].d.shape == (2, 2)
 
     chart_path = write(tmp_path, "b.json", {"m": 1, "n": 3, "B": [[0.5, 0.0], [0.0, 0.5]]})
-    assert load_chart_point(chart_path).b.shape == (2, 2)
+    assert load_chart_point(chart_path)[0].b.shape == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -119,12 +120,15 @@ def test_map_spec_parsing(tmp_path):
     p = subspace_from_points([[1, 0, 0, 0], [0, 1, 0, 0]])
     quad_path = write(tmp_path, "q.json", {"n": 3, "matrix": np.eye(4).tolist()})
     nu, digest = parse_map_spec(f"polar:{quad_path}")
-    assert "map" in digest
-    assert nu(p).same_as(polar_conjugate(p, load_quadric(quad_path)))
+    quadric, quad_digest = load_quadric(quad_path)
+    assert digest == quad_digest and digest["path"] == quad_path
+    assert nu(p).same_as(polar_conjugate(p, quadric))
 
     sub_path = write(tmp_path, "s.json", {"n": 3, "points": [[0, 0, 1, 0], [0, 0, 0, 1]]})
-    nu2, _ = parse_map_spec(f"constant:{sub_path}")
-    assert nu2(p).same_as(load_subspace(sub_path))
+    nu2, digest2 = parse_map_spec(f"constant:{sub_path}")
+    p_star, sub_digest = load_subspace(sub_path)
+    assert digest2 == sub_digest and digest2["path"] == sub_path
+    assert nu2(p).same_as(p_star)
 
     with pytest.raises(FormatError):
         parse_map_spec("spherical:q.json")
@@ -134,10 +138,13 @@ def test_map_spec_parsing(tmp_path):
         parse_map_spec(f"polar:{tmp_path}/missing.json")
 
 
-def test_file_digest_is_stable(tmp_path):
-    path = write(tmp_path, "x.json", {"n": 1})
-    assert file_digest(path) == file_digest(path)
-    assert len(file_digest(path)["sha256"]) == 64
+@pytest.mark.parametrize("loader", sorted(VALID_FILES))
+def test_loaders_return_the_digest_of_the_bytes_parsed(tmp_path, loader):
+    load, payload, _ = VALID_FILES[loader]
+    path = write(tmp_path, "x.json", payload)
+    _, digest = load(path)
+    sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert digest == {"path": path, "sha256": sha256}
 
 
 def test_render_report_is_deterministic_and_sorted():
