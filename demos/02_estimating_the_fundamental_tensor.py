@@ -20,8 +20,8 @@ from grassnorm import (
     constant_map,
     estimate_fundamental_tensor,
     harmonic_defect,
-    isotropic_dimension,
     lambda_rank,
+    metric_inertia,
     polar_conjugate,
     polar_lambda,
     polar_map,
@@ -50,10 +50,12 @@ exact = polar_lambda(bm)
 print("max |estimate - closed form|:", np.max(np.abs(estimated.lam - exact.lam)))
 
 # the estimate keeps the closed form's structure: full rank, harmonic,
-# no isotropic directions
+# no isotropic directions.  The metric's signature (positive, negative,
+# null) says which structure the normalization gives: this quadric is
+# definite, so the metric is definite and the manifold Riemannian
 print("rank:", lambda_rank(estimated), "of", estimated.rho)
 print("harmonic defect:", harmonic_defect(estimated))
-print("isotropic directions:", isotropic_dimension(symmetrize_metric(estimated)))
+print("metric signature:", metric_inertia(symmetrize_metric(estimated)))
 
 # a constant normalization ignores the displacement entirely, so the
 # tensor is zero

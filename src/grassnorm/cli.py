@@ -40,13 +40,11 @@ from .normalization import (
     DEFAULT_EPS,
     MPair,
     estimate_fundamental_tensor,
-    isotropic_dimension,
     lambda_rank,
-    metric_rank,
+    metric_inertia,
     symmetrize_metric,
 )
 from .polar import (
-    adjust_curvature_indices,
     block_metrics,
     covariant_curvature,
     einstein_check,
@@ -107,7 +105,7 @@ def _cmd_estimate_lambda(args):
     nu, pair, inputs = _pair_under_map(args)
     lam = estimate_fundamental_tensor(nu, pair, eps=args.eps)
     outputs = dump_lambda(lam)
-    outputs["lambda_rank"] = lambda_rank(lam, atol=10.0 * args.eps)
+    outputs["lambda_rank"] = lambda_rank(lam)
     outputs["eps"] = args.eps
     return _report("estimate-lambda", inputs, outputs=outputs)
 
@@ -115,12 +113,14 @@ def _cmd_estimate_lambda(args):
 def _cmd_metric(args):
     lam, lam_digest = load_lambda(args.lambda_file)
     g = symmetrize_metric(lam)
+    positive, negative, null = metric_inertia(g)
     outputs = {
         "m": g.m,
         "n": g.n,
         "g": g.g.tolist(),
-        "metric_rank": metric_rank(g),
-        "isotropic_dimension": isotropic_dimension(g),
+        "metric_rank": positive + negative,
+        "isotropic_dimension": null,
+        "signature": [positive, negative, null],
     }
     return _report("metric", {"lambda": lam_digest}, outputs=outputs)
 

@@ -50,7 +50,7 @@ def _load_json(path: str | Path) -> tuple[dict, dict]:
         data = json.loads(blob.decode("utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TensorTooLarge
 
-# Singular values at or below RANK_RTOL times the largest one count as zero.
+# The rank rule (_significant): magnitudes at most RANK_RTOL times the largest are zero.
 RANK_RTOL = 1e-9
 
 # Threshold pivoting (Duff, Erisman & Reid): pivot residual >= this * largest.
@@ -52,17 +52,17 @@ def _dense_zeros(shape: tuple, what: str) -> np.ndarray:
     return np.zeros(shape)
 
 
-def svd_rank(a: np.ndarray, atol: float = 0.0) -> int:
-    """Numerical rank: singular values above max(RANK_RTOL * s_max, atol)."""
+def _significant(values: np.ndarray) -> np.ndarray:
+    """The rank rule: True where |value| > RANK_RTOL times the largest
+    |value| along the last axis, so an all-zero row has none."""
+    mag = np.abs(values)
+    return mag > RANK_RTOL * np.maximum.reduce(mag, axis=-1, keepdims=True, initial=0.0)
+
+
+def svd_rank(a: np.ndarray) -> int:
+    """Numerical rank: the count of significant singular values."""
     s = np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=float)), compute_uv=False)
-    return _rank_from_singular_values(s, atol)
-
-
-def _rank_from_singular_values(s: np.ndarray, atol: float = 0.0) -> int:
-    """Count of the descending singular values s above max(RANK_RTOL * s[0], atol)."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(RANK_RTOL * s[0], atol)))
+    return int(np.count_nonzero(_significant(s)))
 
 
 def _threshold_pivots(q: np.ndarray) -> list:
@@ -105,10 +105,10 @@ def unit_columns(a: np.ndarray) -> np.ndarray:
 
 
 def is_invertible(a: np.ndarray) -> bool:
-    """True when a is a nonempty square matrix with smin > RANK_RTOL * smax > 0,
-    or a (..., k, k) stack and every matrix in it is: one SVD, no vectors."""
+    """True when a is a nonempty square matrix, or a (..., k, k) stack of
+    them, with every singular value significant: one SVD, no vectors."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         return False
     s = np.linalg.svd(a, compute_uv=False)
-    return bool(np.all((s[..., 0] > 0.0) & (s[..., -1] > RANK_RTOL * s[..., 0])))
+    return bool(np.all(_significant(s)))

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure, MapUndefined
-from .linalg import _frozen, svd_rank
+from .linalg import _frozen, _significant, svd_rank
 from .projective_core import MPair, ProjectiveFrame, Subspace, _graph_over_frame, adapted_frame
 
 #: default displacement step for finite-difference estimation
@@ -137,23 +137,22 @@ def symmetrize_metric(lam: FundamentalTensor) -> MetricTensor:
     return MetricTensor(m=lam.m, n=lam.n, g=lam.lam)
 
 
-def lambda_rank(lam: FundamentalTensor, atol: float = 0.0) -> int:
-    """Rank of the flattened tensor, the rank of the normalizing map.
-
-    atol sets an absolute singular-value floor, useful for tensors
-    estimated by finite differences (use about 10 * eps).
-    """
-    return svd_rank(lam.flattened(), atol=atol)
+def lambda_rank(lam: FundamentalTensor) -> int:
+    """Rank of the flattened tensor, the rank of the normalizing map."""
+    return svd_rank(lam.flattened())
 
 
-def metric_rank(g: MetricTensor) -> int:
-    """Rank of the flattened metric tensor."""
-    return svd_rank(g.flattened())
-
-
-def isotropic_dimension(g: MetricTensor) -> int:
-    """Dimension rho - rank(g) of the null distribution of the metric."""
-    return g.rho - metric_rank(g)
+def metric_inertia(g: MetricTensor) -> tuple[int, int, int]:
+    """(positive, negative, null) counts of the eigenvalues of the flattened
+    metric, by the rank rule of linalg.  positive + negative is its rank
+    and null the dimension of its isotropic distribution: the normalization
+    is Riemannian where the metric is definite and semi-Riemannian where
+    it is indefinite and nondegenerate."""
+    w = np.linalg.eigvalsh(g.flattened())
+    counted = _significant(w)
+    positive = int(np.count_nonzero(counted & (w > 0.0)))
+    negative = int(np.count_nonzero(counted)) - positive
+    return positive, negative, g.rho - positive - negative
 
 
 def harmonic_defect(lam: FundamentalTensor) -> float:

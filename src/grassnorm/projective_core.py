@@ -28,7 +28,7 @@ from .errors import (
 from .linalg import (
     RANK_RTOL,
     _frozen,
-    _rank_from_singular_values,
+    _significant,
     _threshold_pivots,
     is_invertible,
     unit_columns,
@@ -54,7 +54,7 @@ class Subspace:
             )
         k = mat.shape[1]
         u, s, _ = np.linalg.svd(mat)
-        if _rank_from_singular_values(s) != k:
+        if np.count_nonzero(_significant(s)) != k:
             raise DependentPoints("spanning points are linearly dependent")
         if not 1 <= k <= mat.shape[0]:
             raise DimensionMismatch("subspace dimension out of range for the ambient space")

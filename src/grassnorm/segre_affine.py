@@ -19,12 +19,7 @@ import numpy as np
 from .connection import curvature_tensor
 from .errors import DimensionMismatch, NotComplementary
 from .linalg import _frozen
-from .normalization import (
-    FundamentalTensor,
-    lambda_rank,
-    metric_rank,
-    symmetrize_metric,
-)
+from .normalization import FundamentalTensor, lambda_rank, metric_inertia, symmetrize_metric
 from .projective_core import (
     MPair,
     ProjectiveFrame,
@@ -95,5 +90,5 @@ def flatness_report(m: int, n: int) -> dict:
     return {
         "lambda_rank": lambda_rank(zero),
         "curvature_max_abs": curvature_tensor(zero).max_abs(),
-        "metric_rank": metric_rank(symmetrize_metric(zero)),
+        "metric_rank": sum(metric_inertia(symmetrize_metric(zero))[:2]),
     }

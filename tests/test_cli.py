@@ -106,6 +106,41 @@ def test_metric_curvature_ricci_pipeline(files, capsys, tmp_path):
     assert rep["residuals"]["ricci_asymmetry"] > 0
 
 
+def test_metric_report_gives_the_signature(files, capsys):
+    # -I (x) I is negative definite: a Riemannian structure, up to sign
+    code, rep = invoke(capsys, ["metric", "--lambda", _polar_lambda_file(files)])
+    assert code == 0
+    out = rep["outputs"]
+    assert out["signature"] == [0, 4, 0]
+    assert (out["metric_rank"], out["isotropic_dimension"]) == (4, 0)
+
+    ft = random_lambda(np.random.default_rng(82), 2, 5)
+    lam_file = files["write"]("lam.json", {"m": 2, "n": 5, "lambda": ft.lam.tolist()})
+    code, rep = invoke(capsys, ["metric", "--lambda", lam_file])
+    positive, negative, null = rep["outputs"]["signature"]
+    assert positive > 0 and negative > 0 and null == 0  # indefinite: semi-Riemannian
+    assert rep["outputs"]["metric_rank"] == positive + negative == ft.rho
+    assert rep["outputs"]["isotropic_dimension"] == null
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_near_degenerate_polar_maps_report_full_lambda_rank(files, capsys, k):
+    # the quadric restricted to p_star = span(e2, e3) has eigenvalues 1 and
+    # 10^-k, so lambda has singular values 1, 1, 10^-k, 10^-k: full rank,
+    # with s_min / s_max far above RANK_RTOL
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    g = np.zeros((4, 4))
+    g[:2, :2] = np.diag([1.0, -1.0])
+    g[2:, 2:] = rot @ np.diag([1.0, 10.0**-k]) @ rot.T
+    quadric = files["write"]("near.json", {"n": 3, "matrix": g.tolist()})
+    code, rep = invoke(
+        capsys, ["estimate-lambda", "--map", f"polar:{quadric}", "--subspace", files["p"]]
+    )
+    assert code == 0
+    assert rep["outputs"]["lambda_rank"] == 4
+
+
 def test_piped_input_is_digested_from_the_bytes_parsed(files, capsys):
     # a pipe can be read only once, so the digest must be of the bytes parsed
     blob = Path(_polar_lambda_file(files)).read_bytes()
@@ -234,6 +269,15 @@ def test_error_paths_exit_two(files, capsys):
     bad = files["write"]("badq.json", {"n": 3, "matrix": np.zeros((4, 4)).tolist()})
     assert run(["polar", "--quadric", bad, "--subspace", files["p"]]) == 2
     capsys.readouterr()
+
+
+def test_non_utf8_input_exits_two_naming_the_file(files, capsys, tmp_path):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff" + json.dumps({"m": 1, "n": 3}).encode())
+    assert run(["metric", "--lambda", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not valid JSON: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.001"])

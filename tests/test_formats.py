@@ -84,6 +84,25 @@ def test_bad_subspace_files_raise_format_or_geometry_errors(tmp_path, payload):
     assert exc_info.type.__name__ in {"FormatError", "DependentPoints", "DimensionMismatch"}
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b'{"n": 3, "points": [[1, 0, 0, 0]]', "is not valid JSON"),
+        (b'\xff{"n": 3, "points": [[1, 0, 0, 0]]}', "is not valid JSON: 'utf-8' codec"),
+        (b"[[1, 0, 0, 0]]", "top level must be a JSON object"),
+        (b'{"n": 3.0, "points": [[1, 0, 0, 0]]}', "key 'n' must be an integer"),
+        (b'{"n": true, "points": [[1, 0]]}', "key 'n' must be an integer"),
+    ],
+    ids=["bad-json", "not-utf8", "not-an-object", "float-n", "boolean-n"],
+)
+def test_unreadable_files_raise_format_errors_naming_the_path(tmp_path, blob, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=message) as exc_info:
+        load_subspace(path)
+    assert str(exc_info.value).startswith(str(path))
+
+
 # a valid file of each array format: loader, payload, key of its array
 VALID_FILES = {
     "load_subspace": (load_subspace, {"n": 3, "points": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "points"),

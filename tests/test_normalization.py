@@ -21,9 +21,8 @@ from grassnorm import (
     harmonic_defect,
     is_asymptotic_direction,
     is_harmonic,
-    isotropic_dimension,
     lambda_rank,
-    metric_rank,
+    metric_inertia,
     polar_conjugate,
     polar_lambda,
     polar_map,
@@ -35,6 +34,8 @@ from _gen import (
     pair_symmetrized,
     random_direction,
     random_lambda,
+    random_orthogonal,
+    random_pair,
     random_polar_pair,
     random_quadric,
     random_subspace,
@@ -127,9 +128,9 @@ def test_polar_tensor_is_full_rank_and_harmonic():
     lam = polar_lambda(bm)
     assert lambda_rank(lam) == lam.rho == 4
     assert is_harmonic(lam, tol=1e-12)
-    g = symmetrize_metric(lam)
-    assert metric_rank(g) == 4
-    assert isotropic_dimension(g) == 0
+    positive, negative, null = metric_inertia(symmetrize_metric(lam))
+    assert positive + negative == 4
+    assert null == 0
 
 
 def test_symmetrize_metric_is_one_pair_symmetrization():
@@ -191,9 +192,48 @@ def test_isotropic_dimension_counts_metric_kernel():
     lam = np.zeros((2, 2, 2, 2))
     lam[0, 0, 0, 0] = 1.0
     ft = FundamentalTensor(m=m, n=n, lam=lam)
-    g = symmetrize_metric(ft)
-    assert metric_rank(g) + isotropic_dimension(g) == ft.rho
-    assert isotropic_dimension(g) == ft.rho - 1
+    assert metric_inertia(symmetrize_metric(ft)) == (1, 0, ft.rho - 1)
+
+
+def signature_quadric(rng, n, negatives):
+    """Quadric Q diag(|d|) Q^T with exactly `negatives` negative eigenvalues."""
+    o = random_orthogonal(rng, n + 1)
+    signs = np.where(np.arange(n + 1) < negatives, -1.0, 1.0)
+    return Quadric(n=n, matrix=o @ np.diag(signs * rng.uniform(0.5, 2.0, n + 1)) @ o.T)
+
+
+def positives_negatives(sym):
+    w = np.linalg.eigvalsh(sym)
+    return int(np.sum(w > 0)), int(np.sum(w < 0))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 5), (2, 6), (3, 7)])
+def test_polar_metric_inertia_follows_sylvesters_law(m, n):
+    # g = -g_ab_inv (x) g_ij, g_ab_inv has the inertia of g_ab, and the
+    # quadric restricted to p and to its polar splits the quadric's own
+    # inertia (Sylvester): an eigenvalue of g is positive when the two
+    # blocks' factors differ in sign.  The prediction reads only the
+    # quadric and its restriction to p.
+    rng = np.random.default_rng([38, m, n])
+    for negatives in range(n + 2):
+        q = signature_quadric(rng, n, negatives)
+        pair = random_polar_pair(rng, q, m)
+        x = pair.p.basis
+        p_ab, q_ab = positives_negatives(x.T @ q.matrix @ x)
+        p_ij, q_ij = n + 1 - negatives - p_ab, negatives - q_ab
+        expected = (p_ab * q_ij + q_ab * p_ij, p_ab * p_ij + q_ab * q_ij, 0)
+        bm = block_metrics(adapted_frame(pair), q, m)
+        for lam in (polar_lambda(bm), estimate_fundamental_tensor(polar_map(q), pair)):
+            assert metric_inertia(symmetrize_metric(lam)) == expected
+        if negatives in (0, n + 1):  # definite quadric, definite metric: Riemannian
+            assert expected == (0, (m + 1) * (n - m), 0)
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (2, 5)])
+def test_constant_map_metric_is_all_null(m, n):
+    pair = random_pair(np.random.default_rng([39, m, n]), n, m)
+    est = estimate_fundamental_tensor(constant_map(pair.p_star), pair)
+    assert metric_inertia(symmetrize_metric(est)) == (0, 0, est.rho)
 
 
 def user_polar_map(q):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from grassnorm import (
     BlockMetrics,
+    DegenerateBlock,
     DimensionMismatch,
     MPair,
     NotPolarAdapted,
@@ -216,6 +217,43 @@ def test_block_metrics_rejects_an_inverse_that_is_not_one():
 def test_block_metrics_rejects_a_wrongly_shaped_inverse():
     with pytest.raises(DimensionMismatch):
         BlockMetrics(m=1, n=3, g_ab=np.eye(2), g_ij=np.eye(2), g_ab_inv=np.eye(3))
+
+
+AMBIENT_MISMATCHES = {
+    "polar_conjugate": lambda q, p, frame: polar_conjugate(p, q),
+    "polar_map-graph": lambda q, p, frame: polar_map(q).graph(
+        frame.frame_matrix[None], 1, np.zeros((1, 3, 2))
+    ),
+    "block_metrics": lambda q, p, frame: block_metrics(frame, q, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(AMBIENT_MISMATCHES))
+def test_a_quadric_of_another_ambient_space_is_refused(call):
+    q = Quadric(n=3, matrix=np.eye(4))
+    p = subspace_from_points(np.eye(5)[:2])  # a line of P^4
+    frame = ProjectiveFrame(ambient_n=4, frame_matrix=np.eye(5))
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        AMBIENT_MISMATCHES[call](q, p, frame)
+
+
+@pytest.mark.parametrize("m", [-1, 3])
+def test_block_metrics_refuses_m_out_of_range(m):
+    frame = ProjectiveFrame(ambient_n=3, frame_matrix=np.eye(4))
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        block_metrics(frame, Quadric(n=3, matrix=np.eye(4)), m)
+
+
+def test_adjusting_indices_refuses_block_metrics_of_another_shape():
+    curv = curvature_tensor(polar_lambda(random_block_metrics(np.random.default_rng(54), 1, 3)))
+    with pytest.raises(DimensionMismatch, match="different shapes"):
+        adjust_curvature_indices(curv, random_block_metrics(np.random.default_rng(55), 2, 5))
+
+
+def test_ricci_proportionality_refuses_a_vanishing_model():
+    bm = BlockMetrics(m=1, n=3, g_ab=np.eye(2), g_ij=np.zeros((2, 2)), g_ab_inv=np.eye(2))
+    with pytest.raises(DegenerateBlock, match="model tensor vanishes"):
+        ricci_proportionality(np.zeros((2, 2, 2, 2)), bm)
 
 
 @pytest.mark.parametrize("delta", [10.0**-k for k in range(3, 10)])

@@ -68,6 +68,20 @@ def test_subspace_from_points_input_errors():
             subspace_from_points(bad_ndim)
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        (np.ones((4, 2, 1)), "two axes and 4 rows"),
+        (np.eye(5)[:, :2], "two axes and 4 rows"),
+        (np.empty((4, 0)), "out of range"),
+    ],
+    ids=["three-axes", "wrong-rows", "no-columns"],
+)
+def test_subspace_refuses_a_coord_matrix_of_the_wrong_shape(coords, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        Subspace(ambient_n=3, coord_matrix=coords)
+
+
 def test_subspace_from_points_never_aliases_the_callers_array():
     # Fortran-ordered rows: their transpose is C-contiguous and shares
     # memory with them, and it is already canonical, so it is stored as is
@@ -106,6 +120,13 @@ def test_mpair_rejects_wrong_complement_dimension():
     line = subspace_from_points([[0, 0, 1, 0]])
     with pytest.raises(DimensionMismatch):
         MPair(p=p, p_star=line)
+
+
+def test_mpair_refuses_members_of_two_ambient_spaces():
+    p = subspace_from_points([[1, 0, 0, 0], [0, 1, 0, 0]])
+    plane_of_p4 = subspace_from_points(np.eye(5)[2:])
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        MPair(p=p, p_star=plane_of_p4)
 
 
 def test_adapted_frame_columns_span_the_pair():

@@ -86,6 +86,13 @@ def test_projection_dimension_validation():
         inverse_projection(AffineChartPoint(m=1, n=3, b=np.zeros((2, 2))), wrong_center)
 
 
+def test_projection_refuses_a_center_of_another_ambient_space():
+    p = subspace_from_points([[1, 0, 0, 0], [0, 1, 0, 0]])
+    center_in_p4 = subspace_from_points(np.eye(5)[2:])
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        stereographic_projection(p, center_in_p4)
+
+
 def test_chart_frame_splits_center_and_complement():
     rng = np.random.default_rng(63)
     p_star = random_subspace(rng, 4, 2)
