@@ -22,11 +22,12 @@ Ric is symmetric under the simultaneous exchange (beta, j) <-> (gamma, k)
 exactly when lam is harmonic.
 
 A normalization is homogeneous when its tensor is covariantly constant;
-an algebraic consequence is the vanishing of the eight-term quadratic
-expression checked by homogeneity_residual.  The covariant derivative
-itself is estimated by finite differences along a tangent direction: one
-graph call of the map transports the adapted frame to the two displaced
-subspaces, and one more estimates the tensor at both transported frames.
+an algebraic consequence is the vanishing of homogeneity_residual, whose
+eight quadratic terms are antisymmetric in pairs under (gamma, k) <->
+(eps, l), so that it is P - swap(P) with P the sum of four.  The covariant
+derivative is estimated by finite differences along a tangent direction:
+one graph call of the map transports the adapted frame to the two
+displaced subspaces, and one more estimates the tensor at both of them.
 
 The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
 structural zeros.  curvature_tensor writes each term onto its Kronecker
@@ -139,38 +140,37 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
     Zero (to rounding) for tensors of covariantly constant
     normalizations such as the polar ones; order max(lam)^2 for generic
     tensors.  The expression is quadratic in lam, so compare against
-    tol * max(lam)^2.
+    tol * max(lam)^2; products that overflow make it inf or nan.
 
-    Evaluated one first Greek index alpha at a time: each of the eight
-    terms is a transpose of the outer product lam[alpha] (x) lam (terms 4
-    and 8 because products commute), so a block of 1 / (m + 1) of the
-    full expression is summed from views of that product.  Raises
-    TensorTooLarge, before allocating, when such a block would exceed
-    linalg.DENSE_BUDGET_BYTES.
+    Terms 5 to 8 are terms 1 to 4 swapped, (gamma, k) <-> (eps, l), and
+    negated.  So one first Greek index alpha at a time, a block P of terms
+    1 to 4 is summed from transposed views of the outer product
+    lam[alpha] (x) lam (term 4 because products commute), and the block of
+    the expression is P - swap(P).  Raises TensorTooLarge, before
+    allocating, when a block would exceed linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = lam.m + 1, lam.n - lam.m
     t = lam.lam
     # o[x0, .., x6] = t[alpha, x0, x1, x2] * t[x3, x4, x5, x6]; block axes b c e i j k l.
-    # Both are reused for every alpha; a C-ordered block keeps the eight
-    # strided adds in one iteration order.
+    # Both are reused for every alpha; a C-ordered block keeps the four strided
+    # adds in one iteration order.  After them h, o's memory, takes P - swap(P).
     o = _dense_zeros((gd, ld, ld, gd, gd, ld, ld), "homogeneity block")
     block = _dense_zeros((gd, gd, gd, ld, ld, ld, ld), "homogeneity block")
+    h = o.reshape(block.shape)
     peaks = []
-    for t_alpha in t:
-        np.multiply.outer(t_alpha, t, out=o)
-        np.add(
-            o.transpose(0, 3, 4, 1, 5, 2, 6),  # t[a,b,i,k] t[c,e,j,l]
-            o.transpose(0, 3, 4, 5, 2, 1, 6),  # t[a,b,k,j] t[c,e,i,l]
-            out=block,
-        )
-        block += o.transpose(3, 0, 4, 1, 2, 5, 6)  # t[a,c,i,j] t[b,e,k,l]
-        block += o.transpose(4, 3, 0, 5, 6, 1, 2)  # t[c,b,i,j] t[a,e,k,l]
-        block -= o.transpose(0, 4, 3, 1, 5, 6, 2)  # t[a,b,i,l] t[e,c,j,k]
-        block -= o.transpose(0, 4, 3, 5, 2, 6, 1)  # t[a,b,l,j] t[e,c,i,k]
-        block -= o.transpose(3, 4, 0, 1, 2, 6, 5)  # t[a,e,i,j] t[b,c,l,k]
-        block -= o.transpose(4, 0, 3, 5, 6, 2, 1)  # t[e,b,i,j] t[a,c,l,k]
-        peaks.append(np.max(np.abs(block, out=block)))
-    return float(np.max(peaks, initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_alpha in t:
+            np.multiply.outer(t_alpha, t, out=o)
+            np.add(
+                o.transpose(0, 3, 4, 1, 5, 2, 6),  # t[a,b,i,k] t[c,e,j,l]
+                o.transpose(0, 3, 4, 5, 2, 1, 6),  # t[a,b,k,j] t[c,e,i,l]
+                out=block,
+            )
+            block += o.transpose(3, 0, 4, 1, 2, 5, 6)  # t[a,c,i,j] t[b,e,k,l]
+            block += o.transpose(4, 3, 0, 5, 6, 1, 2)  # t[c,b,i,j] t[a,e,k,l]
+            np.subtract(block, block.transpose(0, 2, 1, 3, 4, 6, 5), out=h)
+            peaks.append(np.max(np.abs(h, out=h)))
+    return float(np.max(peaks, initial=0.0))  # np.max keeps a nan peak; max() would not
 
 
 def is_homogeneous(lam: FundamentalTensor, tol: float = 1e-9) -> bool:

@@ -317,14 +317,15 @@ def test_negative_tol_exits_two_with_nothing_on_stdout(files, capsys):
     assert "--tol must not be negative, got -1.0" in captured.err
 
 
-# entries of 1e200 overflow the residual's products to inf - inf = nan
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# entries of 1e200 overflow the residual's products to inf - inf = nan; the
+# suite turns any numpy RuntimeWarning into an error, so none may be raised
 def test_nan_residual_exits_two_naming_the_value(files, capsys):
     lam = np.full((2, 2, 2, 2), 1e200)
     lam_file = files["write"]("huge_lam.json", {"m": 1, "n": 3, "lambda": lam.tolist()})
     assert run(["check", "homogeneity", "--lambda", lam_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "residual is_homogeneous must be a non-negative number, got nan" in captured.err
 
 

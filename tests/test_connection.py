@@ -3,6 +3,7 @@ import pytest
 
 from grassnorm import (
     DimensionMismatch,
+    FundamentalTensor,
     MPair,
     NormalizingMap,
     Quadric,
@@ -95,6 +96,18 @@ def test_polar_tensor_is_homogeneous_generic_is_not():
     scale = np.max(np.abs(generic.lam))
     assert homogeneity_residual(generic) > 1e-3 * scale**2
     assert not is_homogeneous(generic, tol=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("block", ["first", "last"])
+def test_an_overflowing_entry_gives_a_non_finite_residual(m, n, block):
+    # 1e200 squared overflows: inf - inf = nan in that entry's alpha block,
+    # which must not be dropped in favour of the finite peaks of the others
+    lam = random_lambda(np.random.default_rng(3), m, n).lam.copy()
+    lam[(0, 0, 0, 0) if block == "first" else (m, m, n - m - 1, n - m - 1)] = 1e200
+    huge = FundamentalTensor(m=m, n=n, lam=lam)
+    assert not np.isfinite(homogeneity_residual(huge))
+    assert not is_homogeneous(huge)
 
 
 def test_covariant_derivative_vanishes_for_identity_quadric():

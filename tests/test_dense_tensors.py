@@ -24,7 +24,8 @@ from _oracles import brute_force_adjust, brute_force_homogeneity
 
 
 # The einsum expressions the builders used before they were built in
-# slices; curvature and homogeneity must reproduce them bit for bit.
+# slices; curvature must reproduce its own bit for bit, and homogeneity
+# the antisymmetric form of its eight-term one.
 
 
 def einsum_curvature(ft):
@@ -51,6 +52,18 @@ def einsum_homogeneity(ft):
         - np.einsum("ebij,aclk->abceijkl", t, t)
     )
     return float(np.max(np.abs(total), initial=0.0))
+
+
+def einsum_homogeneity_antisymmetric(ft):
+    # terms 5 to 8 are terms 1 to 4 under (gamma, k) <-> (eps, l), negated
+    t = ft.lam
+    p = (
+        np.einsum("abik,cejl->abceijkl", t, t)
+        + np.einsum("abkj,ceil->abceijkl", t, t)
+        + np.einsum("acij,bekl->abceijkl", t, t)
+        + np.einsum("cbij,aekl->abceijkl", t, t)
+    )
+    return float(np.max(np.abs(p - p.transpose(0, 1, 3, 2, 4, 5, 7, 6)), initial=0.0))
 
 
 def einsum_adjust(r, bm):
@@ -86,8 +99,9 @@ def test_dense_builders_agree_with_einsum_forms_and_oracles(m, n, kind):
     assert np.array_equal(curv.r, einsum_curvature(ft))
 
     residual = homogeneity_residual(ft)
-    assert residual == einsum_homogeneity(ft)
+    assert residual == einsum_homogeneity_antisymmetric(ft)
     scale = float(np.max(np.abs(ft.lam)))
+    assert abs(residual - einsum_homogeneity(ft)) <= 1e-15 * scale**2
     assert abs(residual - brute_force_homogeneity(ft)) <= 1e-14 * scale**2
 
     adjusted = adjust_curvature_indices(curv, bm).rc
@@ -99,6 +113,12 @@ def test_dense_builders_agree_with_einsum_forms_and_oracles(m, n, kind):
         rc = covariant_curvature(bm).rc
         assert_close_to_scale(rc, einsum_covariant(bm))
         assert_close_to_scale(rc, brute_force_adjust(curv.r, bm.g_ab_inv, bm.g_ij))
+
+
+def test_homogeneity_matches_the_loop_oracle_at_g511():
+    ft = random_lambda(np.random.default_rng(511), 5, 11)
+    scale = float(np.max(np.abs(ft.lam)))
+    assert abs(homogeneity_residual(ft) - brute_force_homogeneity(ft)) <= 1e-15 * scale**2
 
 
 def peak_bytes(fn):
