@@ -1,15 +1,16 @@
 """Cross-ratio of two m-pairs and the induced log distance.
 
-For valid pairs (p_a, p_star_a) and (p_b, p_star_b) the cross-ratio
-matrix is
+For pairs (p_a, p_star_a) and (p_b, p_star_b) the cross-ratio matrix is
 
     W = X (U X)^-1 (U Y) (V Y)^-1 V
 
 where X, Y are orthonormal bases of p_a, p_b and U, V orthonormal
-tangential (equation) matrices of p_star_a, p_star_b.  W is independent
-of all representative choices, and under a projective change of
-coordinates T it transforms by conjugation, W -> T W T^-1, so its trace
-is a projective invariant of the two pairs.
+tangential (equation) matrices of p_star_a, p_star_b.  U X and V Y are
+invertible because the members of each pair span the ambient space, so
+W is defined for every two pairs.  It is independent of all
+representative choices, and under a projective change of coordinates T
+it transforms by conjugation, W -> T W T^-1, so its trace is a
+projective invariant of the two pairs.
 
 For coinciding pairs W is the projector onto p along p_star and its
 trace equals m + 1.  For infinitesimally close pairs the deviation of
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPair, NonPositiveTrace
-from .projective_core import MPair, pair_is_valid
+from .errors import DimensionMismatch, NonPositiveTrace
+from .projective_core import MPair
 
 
 @dataclass(frozen=True)
@@ -41,21 +42,11 @@ class CrossRatioMatrix:
         return float(np.trace(self.w))
 
 
-def _check_pair(pair: MPair, label: str):
-    if not pair_is_valid(pair):
-        raise InvalidPair(f"{label} is not a valid pair")
-
-
 def cross_ratio(pair_a: MPair, pair_b: MPair) -> CrossRatioMatrix:
-    """Cross-ratio matrix W of two m-pairs.
-
-    U X and V Y are invertible exactly when both pairs are valid, so
-    W is defined for every two valid pairs; raises InvalidPair otherwise.
-    """
+    """Cross-ratio matrix W of two m-pairs, defined for every two pairs:
+    MPair guarantees that U X and V Y are invertible."""
     if pair_a.ambient_n != pair_b.ambient_n or pair_a.m != pair_b.m:
         raise DimensionMismatch("pairs must share ambient dimension and subspace dimension")
-    _check_pair(pair_a, "pair_a")
-    _check_pair(pair_b, "pair_b")
     x, u = pair_a.p.basis, pair_a.p_star.equations
     y, v = pair_b.p.basis, pair_b.p_star.equations
     w = x @ np.linalg.solve(u @ x, u @ y) @ np.linalg.solve(v @ y, v)
@@ -75,7 +66,6 @@ def cr_log_distance(pair_a: MPair, pair_b: MPair) -> float:
         and np.array_equal(pair_a.p_star.coord_matrix, pair_b.p_star.coord_matrix)
     )
     if same:
-        _check_pair(pair_a, "pair_a")
         return 0.0
     t = cross_ratio(pair_a, pair_b).trace
     k = pair_a.m + 1

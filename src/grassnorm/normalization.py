@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure, MapUndefined
 from .linalg import _frozen, _significant, svd_rank
-from .projective_core import MPair, ProjectiveFrame, Subspace, _graph_over_frame, adapted_frame
+from .projective_core import MPair, Subspace, _graph_over_frame, adapted_frame
 
 #: default displacement step for finite-difference estimation
 DEFAULT_EPS = 1e-5
@@ -208,22 +208,6 @@ def _graph_stack(
         _check_complement(star, n, m)
     images = np.stack([star.coord_matrix for star in stars])
     return _graph_over_frame(frames, images, unit_top=False, error=off_frame)
-
-
-def estimate_fundamental_tensor_in_frame(
-    nu: NormalizingMap, frame: np.ndarray, m: int, eps: float = DEFAULT_EPS
-) -> np.ndarray:
-    """Fundamental tensor components of nu in a given adapted frame.
-
-    The frame's first m + 1 columns must span the subspace p and the
-    remaining columns its complement nu(p).  Returns the raw component
-    array lam[alpha][beta][i][j]; see estimate_fundamental_tensor.
-    Raises DimensionMismatch unless the frame is (n + 1) x (n + 1) with
-    0 <= m <= n - 1, and SingularFrame when the frame is singular.
-    """
-    frame = ProjectiveFrame(ambient_n=len(frame) - 1, frame_matrix=frame).frame_matrix
-    _check_grassmann_dims(m, len(frame) - 1)
-    return _estimate_in_frames(nu, frame[None], m, eps)[0]
 
 
 def _estimate_in_frames(nu: NormalizingMap, frames: np.ndarray, m: int, eps: float) -> np.ndarray:

@@ -88,7 +88,10 @@ class Subspace:
 
 @dataclass(frozen=True)
 class MPair:
-    """An m-dimensional subspace with a complement of dimension n-m-1."""
+    """An m-dimensional subspace p with a complement p_star of dimension
+    n-m-1, the two spanning the ambient space.  Checked at construction:
+    InvalidPair unless the smallest singular value of U X, for p's basis X
+    and p_star's equations U (the sine of their angle), exceeds RANK_RTOL."""
 
     p: Subspace
     p_star: Subspace
@@ -101,6 +104,9 @@ class MPair:
             raise DimensionMismatch(
                 f"complement must have dimension {n - m - 1}, got {self.p_star.dim}"
             )
+        ux = self.p_star.equations @ self.p.basis  # (m+1) x (m+1), nonempty
+        if np.linalg.svd(ux, compute_uv=False)[-1] <= RANK_RTOL:
+            raise InvalidPair("pair members do not span the ambient space")
 
     @property
     def ambient_n(self) -> int:
@@ -150,22 +156,13 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
     return Subspace(ambient_n=rows.shape[1] - 1, coord_matrix=rows.T)
 
 
-def pair_is_valid(pair: MPair) -> bool:
-    """True when p and p_star together span the ambient space: every
-    singular value of U X, for p's basis X and p_star's equations U, is
-    above RANK_RTOL; the smallest is the sine of the angle between them."""
-    ux = pair.p_star.equations @ pair.p.basis  # (m+1) x (m+1), nonempty
-    return bool(np.linalg.svd(ux, compute_uv=False)[-1] > RANK_RTOL)
-
-
 def adapted_frame(pair: MPair) -> ProjectiveFrame:
     """Frame with p's canonical points first and p_star's last.
 
     Columns are rescaled to unit Euclidean length with first nonzero
-    entry positive, so the frame is a deterministic function of the pair.
+    entry positive, so the frame is a deterministic function of the pair,
+    and they are independent, since the members of a pair span the space.
     """
-    if not pair_is_valid(pair):
-        raise InvalidPair("pair members do not span the ambient space")
     frame = unit_columns(np.hstack([pair.p.coord_matrix, pair.p_star.coord_matrix]))
     return ProjectiveFrame(ambient_n=pair.ambient_n, frame_matrix=frame)
 

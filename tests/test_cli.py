@@ -271,6 +271,30 @@ def test_error_paths_exit_two(files, capsys):
     capsys.readouterr()
 
 
+MEETS_P = {"n": 3, "points": [[1, 0, 0, 0], [0, 0, 0, 1]]}  # span(e0, e3) meets span(e0, e1)
+
+
+@pytest.mark.parametrize("option", ["--pair-a", "--pair-b"])
+def test_pair_file_whose_members_meet_exits_two_naming_the_file(files, capsys, option):
+    meeting = files["write"](
+        "meeting_pair.json", {"p": {"n": 3, "points": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "p_star": MEETS_P}
+    )
+    argv = ["cross-ratio", "--pair-a", files["pair_a"], "--pair-b", files["pair_b"]]
+    argv[argv.index(option) + 1] = meeting
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {meeting}: pair members do not span the ambient space\n"
+
+
+def test_constant_map_meeting_the_subspace_exits_two(files, capsys):
+    meeting = files["write"]("meeting_star.json", MEETS_P)
+    assert run(["estimate-lambda", "--map", f"constant:{meeting}", "--subspace", files["p"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pair members do not span the ambient space\n"
+
+
 def test_non_utf8_input_exits_two_naming_the_file(files, capsys, tmp_path):
     bad = tmp_path / "latin.json"
     bad.write_bytes(b"\xff" + json.dumps({"m": 1, "n": 3}).encode())

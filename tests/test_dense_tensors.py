@@ -121,6 +121,16 @@ def test_homogeneity_matches_the_loop_oracle_at_g511():
     assert abs(homogeneity_residual(ft) - brute_force_homogeneity(ft)) <= 1e-15 * scale**2
 
 
+def test_the_loop_oracle_keeps_a_nan_peak():
+    # 1e200 squared overflows, and inf - inf in the antisymmetric terms is nan
+    lam = random_lambda(np.random.default_rng(3), 1, 3).lam.copy()
+    lam[1, 1, 1, 1] = 1e200
+    ft = FundamentalTensor(m=1, n=3, lam=lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(brute_force_homogeneity(ft))
+        assert np.isnan(homogeneity_residual(ft))
+
+
 def peak_bytes(fn):
     """Result of fn() and the tracemalloc peak of the allocations it made."""
     tracing = tracemalloc.is_tracing()

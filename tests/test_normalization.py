@@ -9,7 +9,6 @@ from grassnorm import (
     MPair,
     NormalizingMap,
     Quadric,
-    SingularFrame,
     Subspace,
     TangentDirection,
     adapted_frame,
@@ -17,7 +16,6 @@ from grassnorm import (
     constant_map,
     covariant_derivative_estimate,
     estimate_fundamental_tensor,
-    estimate_fundamental_tensor_in_frame,
     harmonic_defect,
     is_asymptotic_direction,
     is_harmonic,
@@ -29,6 +27,7 @@ from grassnorm import (
     subspace_from_points,
     symmetrize_metric,
 )
+from grassnorm.normalization import _estimate_in_frames
 
 from _gen import (
     pair_symmetrized,
@@ -86,16 +85,6 @@ def test_constant_map_has_zero_tensor():
     est = estimate_fundamental_tensor(constant_map(pair.p_star), pair)
     np.testing.assert_array_equal(est.lam, 0.0)
     assert lambda_rank(est) == 0
-
-
-def test_in_frame_variant_agrees_with_pair_variant():
-    rng = np.random.default_rng(33)
-    q = random_quadric(rng, 3)
-    pair = random_polar_pair(rng, q, 1)
-    frame = adapted_frame(pair).frame_matrix
-    a = estimate_fundamental_tensor(polar_map(q), pair, eps=1e-5).lam
-    b = estimate_fundamental_tensor_in_frame(polar_map(q), frame, 1, eps=1e-5)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_map_errors_are_wrapped():
@@ -261,9 +250,12 @@ def test_tangent_displacement_raises_map_undefined_on_both_paths():
     cases = ((np.diag([1.0, 1.0, -4.0, 1.0]), 1, 0.5), (np.diag([1.0, -100.0, 1.0, 1.0]), 0, 0.1))
     for g, m, eps in cases:
         q = Quadric(n=3, matrix=g)
+        eye = np.eye(4)
+        pair = MPair(p=subspace_from_points(eye[: m + 1]), p_star=subspace_from_points(eye[m + 1 :]))
+        np.testing.assert_array_equal(adapted_frame(pair).frame_matrix, eye)
         for nu in (polar_map(q), user_polar_map(q)):
             with pytest.raises(MapUndefined, match="tangent"):
-                estimate_fundamental_tensor_in_frame(nu, np.eye(4), m, eps=eps)
+                estimate_fundamental_tensor(nu, pair, eps=eps)
 
 
 def test_off_chart_displaced_polar_raises_framing_failure_on_both_paths():
@@ -274,7 +266,7 @@ def test_off_chart_displaced_polar_raises_framing_failure_on_both_paths():
     frame[0, 2] = -2.0
     for nu in (polar_map(q), user_polar_map(q)):
         with pytest.raises(FramingFailure):
-            estimate_fundamental_tensor_in_frame(nu, frame, 1, eps=0.5)
+            _estimate_in_frames(nu, frame[None], 1, 0.5)
 
 
 def test_constant_map_errors_on_the_adapter_path_match_the_graph_path():
@@ -311,18 +303,6 @@ def test_polar_estimators_build_no_subspace_per_displacement(monkeypatch):
     # rho is 4 at G(1,3) and 16 at G(3,7)
     assert counts[(1, 3, "polar")] == counts[(3, 7, "polar")]
     assert counts[(3, 7, "user-polar")] > counts[(1, 3, "user-polar")]
-
-
-def test_in_frame_estimator_rejects_a_bad_m_or_frame():
-    q = Quadric(n=3, matrix=np.diag([1.0, 2.0, 0.5, 1.0]))
-    for nu in (polar_map(q), user_polar_map(q)):
-        for m in (3, -1):
-            with pytest.raises(DimensionMismatch):
-                estimate_fundamental_tensor_in_frame(nu, np.eye(4), m)
-        with pytest.raises(DimensionMismatch):
-            estimate_fundamental_tensor_in_frame(nu, np.eye(4)[:, :3], 1)
-        with pytest.raises(SingularFrame):
-            estimate_fundamental_tensor_in_frame(nu, np.ones((4, 4)), 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan, np.inf])

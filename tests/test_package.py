@@ -14,6 +14,18 @@ def test_every_export_exists_once():
     assert [name for name in names if not hasattr(grassnorm, name)] == []
 
 
+def test_init_imports_exactly_the_exports():
+    # a deletion must take the import and the __all__ entry together
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported == set(grassnorm.__all__) - {"__version__"}
+
+
 def imported_but_unused(source: str) -> list:
     """Names a module imports and never reads: no linter is needed to see them."""
     tree = ast.parse(source)

@@ -13,7 +13,6 @@ from grassnorm import (
     Subspace,
     adapted_frame,
     estimate_fundamental_tensor,
-    pair_is_valid,
     polar_conjugate,
     polar_map,
     subspace_from_points,
@@ -109,10 +108,10 @@ def test_pair_validity_and_invalid_pair_error():
     p = subspace_from_points([[1, 0, 0, 0], [0, 1, 0, 0]])
     good = subspace_from_points([[0, 0, 1, 0], [0, 0, 0, 1]])
     overlapping = subspace_from_points([[1, 0, 0, 0], [0, 0, 0, 1]])
-    assert pair_is_valid(MPair(p=p, p_star=good))
-    assert not pair_is_valid(MPair(p=p, p_star=overlapping))
-    with pytest.raises(InvalidPair):
-        adapted_frame(MPair(p=p, p_star=overlapping))
+    with pytest.raises(InvalidPair, match="do not span the ambient space"):
+        MPair(p=p, p_star=overlapping)
+    frame = adapted_frame(MPair(p=p, p_star=good)).frame_matrix
+    np.testing.assert_array_equal(frame, np.eye(4))
 
 
 def test_mpair_rejects_wrong_complement_dimension():
@@ -182,6 +181,15 @@ def random_mix(rng, k, log_cond):
     return random_orthogonal(rng, k) @ np.diag(s) @ random_orthogonal(rng, k)
 
 
+def builds_a_pair(p, p_star):
+    """True when MPair accepts the members, False when it raises InvalidPair."""
+    try:
+        MPair(p=p, p_star=p_star)
+    except InvalidPair:
+        return False
+    return True
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.integers(0, 3),
@@ -214,8 +222,8 @@ def test_storage_is_invariant_under_respanning(seed, m, extra, log_scale, log_co
     assert p.same_as(remixed)
     p_star = subspace_from_points(star)
     star_mix = subspace_from_points(random_mix(rng, n - m, log_cond) @ star)
-    valid = pair_is_valid(MPair(p=p, p_star=p_star))
-    assert valid == pair_is_valid(MPair(p=remixed, p_star=star_mix))
+    valid = builds_a_pair(p, p_star)
+    assert valid == builds_a_pair(remixed, star_mix)
     assert valid != meet
     for sub in (p, remixed, p_star, star_mix):
         again = Subspace(ambient_n=n, coord_matrix=sub.coord_matrix)
