@@ -23,18 +23,18 @@ exactly when lam is harmonic.
 
 A normalization is homogeneous when its tensor is covariantly constant;
 an algebraic consequence is the vanishing of homogeneity_residual, whose
-eight quadratic terms are antisymmetric in pairs under (gamma, k) <->
-(eps, l), so that it is P - swap(P) with P the sum of four.  The covariant
-derivative is estimated by finite differences along a tangent direction:
-one graph call of the map transports the adapted frame to the two
-displaced subspaces, and one more estimates the tensor at both of them.
+eight quadratic terms are P - swap(P), P the sum of four and swap the
+exchange (gamma, k) <-> (eps, l): two rank-2 matrix products per first
+Greek index, in a layout where the swap is a matrix transpose.  The
+covariant derivative is estimated by finite differences along a tangent
+direction: one graph call of the map transports the adapted frame to the
+two displaced subspaces, and one more estimates the tensor at both.
 
 The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
 structural zeros.  curvature_tensor writes each term onto its Kronecker
 diagonal of one zeroed result, and homogeneity_residual works one first
 Greek index at a time, so neither makes a second array of that size.
-An array over linalg.DENSE_BUDGET_BYTES raises TensorTooLarge before
-anything is allocated.
+Past linalg.DENSE_BUDGET_BYTES, TensorTooLarge is raised before allocating.
 """
 
 from __future__ import annotations
@@ -144,31 +144,44 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
 
     Terms 5 to 8 are terms 1 to 4 swapped, (gamma, k) <-> (eps, l), and
     negated.  So one first Greek index alpha at a time, a block P of terms
-    1 to 4 is summed from transposed views of the outer product
-    lam[alpha] (x) lam (term 4 because products commute), and the block of
-    the expression is P - swap(P).  Raises TensorTooLarge, before
-    allocating, when a block would exceed linalg.DENSE_BUDGET_BYTES.
+    1 to 4 is formed and the expression's block is P - swap(P).  P has
+    axes (beta, i, j, gamma, k, eps, l): per (beta, i, j) a square matrix
+    with rows (gamma, k) and columns (eps, l), whose transpose is the swap.
+    Terms 1 + 2 are one batched matmul of inner dimension 2 with rows k
+    and columns (eps, l), terms 3 + 4 another with one row and columns
+    (k, eps, l); both land contiguously in that layout.  Raises
+    TensorTooLarge, before allocating, when a block would exceed
+    linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = lam.m + 1, lam.n - lam.m
-    t = lam.lam
-    # o[x0, .., x6] = t[alpha, x0, x1, x2] * t[x3, x4, x5, x6]; block axes b c e i j k l.
-    # Both are reused for every alpha; a C-ordered block keeps the four strided
-    # adds in one iteration order.  After them h, o's memory, takes P - swap(P).
-    o = _dense_zeros((gd, ld, ld, gd, gd, ld, ld), "homogeneity block")
-    block = _dense_zeros((gd, gd, gd, ld, ld, ld, ld), "homogeneity block")
-    h = o.reshape(block.shape)
+    t, q = lam.lam, gd * ld
+    # axes b i j c k e l, reused for every alpha: p takes terms 1 + 2, h terms 3 + 4
+    p = _dense_zeros((gd, ld, ld, gd, ld, gd, ld), "homogeneity block")
+    h = _dense_zeros(p.shape, "homogeneity block")
+    # the factors of both products, axes named alongside, s the inner index;
+    # the halves free of alpha are written once, the others for each alpha
+    left12 = np.empty((gd, ld, ld, 1, ld, 2))  # b i j . k s
+    right12 = np.empty((ld, ld, gd, 2, gd, ld))  # i j c s e l
+    right12[:, :, :, 0] = t.transpose(2, 0, 1, 3)[None]  # t[c,e,j,l]
+    right12[:, :, :, 1] = t.transpose(2, 0, 1, 3)[:, None]  # t[c,e,i,l]
+    left34 = np.empty((gd, ld, ld, gd, 1, 2))  # b i j c . s
+    left34[..., 0, 1] = t.transpose(1, 2, 3, 0)  # t[c,b,i,j]
+    right34 = np.empty((gd, 2, ld, gd, ld))  # b s k e l
+    right34[:, 0] = t.transpose(0, 2, 1, 3)  # t[b,e,k,l]
+    r12, r34 = right12.reshape(ld, ld, gd, 2, q), right34.reshape(gd, 1, 1, 1, 2, ld * q)
+    p12, h34 = p.reshape(gd, ld, ld, gd, ld, q), h.reshape(gd, ld, ld, gd, 1, ld * q)
+    pm, hm = p.reshape(gd, ld, ld, q, q), h.reshape(gd, ld, ld, q, q)
     peaks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t_alpha in t:
-            np.multiply.outer(t_alpha, t, out=o)
-            np.add(
-                o.transpose(0, 3, 4, 1, 5, 2, 6),  # t[a,b,i,k] t[c,e,j,l]
-                o.transpose(0, 3, 4, 5, 2, 1, 6),  # t[a,b,k,j] t[c,e,i,l]
-                out=block,
-            )
-            block += o.transpose(3, 0, 4, 1, 2, 5, 6)  # t[a,c,i,j] t[b,e,k,l]
-            block += o.transpose(4, 3, 0, 5, 6, 1, 2)  # t[c,b,i,j] t[a,e,k,l]
-            np.subtract(block, block.transpose(0, 2, 1, 3, 4, 6, 5), out=h)
+            left12[..., 0] = t_alpha[:, :, None, None, :]  # t[a,b,i,k]
+            left12[..., 1] = t_alpha.transpose(0, 2, 1)[:, None, :, None, :]  # t[a,b,k,j]
+            left34[..., 0, 0] = t_alpha.transpose(1, 2, 0)  # t[a,c,i,j]
+            right34[:, 1] = t_alpha.transpose(1, 0, 2)  # t[a,e,k,l]
+            np.matmul(left12, r12, out=p12)
+            np.matmul(left34, r34, out=h34)
+            p += h
+            np.subtract(pm, pm.swapaxes(-1, -2), out=hm)
             peaks.append(np.max(np.abs(h, out=h)))
     return float(np.max(peaks, initial=0.0))  # np.max keeps a nan peak; max() would not
 
@@ -192,10 +205,11 @@ def covariant_derivative_estimate(
     not vary smoothly): one graph call of nu builds both transported
     frames, and one more estimates the tensor at them.  The result is
     the central difference (lam(F(eps)) - lam(F(-eps))) / (2 eps), with
-    no connection term: F0^-1 F(t) = ((I, C(t)), (t d, I)) has constant
-    diagonal blocks, so the induced connection forms vanish along the
-    path.  Result is the 4-index array of derivative components in the
-    base frame; O(eps^2) truncation.
+    no connection term: F0^-1 F(t) = ((I, C(t)), (t d, I)), so the
+    induced connection forms, the diagonal blocks of F(t)^-1 F'(t), are
+    O(t) and vanish at t = 0, which is all the O(eps^2) central
+    difference needs.  Result is the 4-index array of derivative
+    components in the base frame.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")

@@ -10,7 +10,7 @@ import pytest
 
 from grassnorm.cli import build_parser, run
 
-from _gen import random_lambda, pair_symmetrized
+from _gen import random_lambda
 
 
 @pytest.fixture

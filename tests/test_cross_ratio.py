@@ -15,7 +15,7 @@ from grassnorm import (
     subspace_from_points,
 )
 
-from _gen import random_invertible, random_pair, random_quadric, random_subspace
+from _gen import random_invertible, random_pair, random_quadric
 from _oracles import raw_polar_basis, raw_polar_cross_ratio_trace
 
 

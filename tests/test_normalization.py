@@ -37,7 +37,6 @@ from _gen import (
     random_pair,
     random_polar_pair,
     random_quadric,
-    random_subspace,
 )
 
 

@@ -41,12 +41,14 @@ def imported_but_unused(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-)
+# __init__ imports to re-export, which __all__ checks above
+MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in Path(__file__).resolve().parent.glob("*.py")})
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_module_imports_a_name_it_never_uses(module):
-    # __init__ imports to re-export, which __all__ checks above
-    assert imported_but_unused((SRC / module).read_text(encoding="utf-8")) == []
+    assert imported_but_unused(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_the_unused_import_check_sees_one():
