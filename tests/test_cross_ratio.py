@@ -8,14 +8,26 @@ from grassnorm import (
     DimensionMismatch,
     MPair,
     NonPositiveTrace,
+    Subspace,
+    adapted_frame,
+    block_metrics,
+    constant_map,
     cr_log_distance,
     cross_ratio,
     polar_conjugate,
+    polar_lambda,
+    polar_map,
     Quadric,
     subspace_from_points,
 )
 
-from _gen import random_invertible, random_pair, random_quadric
+from _gen import (
+    random_direction,
+    random_invertible,
+    random_pair,
+    random_polar_pair,
+    random_quadric,
+)
 from _oracles import raw_polar_basis, raw_polar_cross_ratio_trace
 
 
@@ -176,3 +188,71 @@ def test_polar_pairs_with_a_small_leading_coordinate_match_the_raw_points(seed, 
     np.testing.assert_allclose(got @ got.T, want @ want.T, atol=1e-9)
     trace = raw_polar_cross_ratio_trace(points_a, points_b, q.matrix)
     assert cross_ratio(pair_a, pair_b).trace == pytest.approx(trace, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 5), (3, 7), (1, 6)])
+def test_identity_quadric_trace_is_the_sum_of_squared_principal_cosines(m, n):
+    # for G = I the polar of p is its orthogonal complement, so
+    # W = X X^T Y Y^T and trace W = sum of cos^2 over the principal angles
+    # between p_a and p_b, the singular values of X^T Y
+    rng = np.random.default_rng(100 + n)
+    q = Quadric(n=n, matrix=np.eye(n + 1))
+    for _ in range(20):
+        points_a = rng.standard_normal((m + 1, n + 1))
+        points_b = rng.standard_normal((m + 1, n + 1))
+        x = np.linalg.qr(points_a.T)[0]
+        y = np.linalg.qr(points_b.T)[0]
+        cosines = np.linalg.svd(x.T @ y, compute_uv=False)
+        trace = cross_ratio(polar_pair(points_a, q), polar_pair(points_b, q)).trace
+        assert trace == pytest.approx(float(np.sum(cosines**2)), abs=1e-13)
+
+
+# The log distance along a normalization carries its fundamental tensor:
+# for the adapted frame F = (F_top | F_bot) of (p, nu(p)), a direction d
+# and p(t) = span(F_top + t F_bot d),
+#     L(t) = cr_log_distance((p, nu(p)), (p(t), nu(p(t))))
+#          = t^2 lam(d, d) + O(t^3),  lam(d, d) = sum lam[a][b][i][j] d[i][a] d[j][b].
+# Both sides are frame-free, so these tests hold in any adapted frame.
+EXPANSION_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+
+def along_direction(nu, pair, d, t):
+    """The pair (p(t), nu(p(t))) for p(t) = span(F_top + t F_bot d)."""
+    frame = adapted_frame(pair).frame_matrix
+    top, bottom = frame[:, : pair.m + 1], frame[:, pair.m + 1 :]
+    p_t = Subspace(ambient_n=pair.ambient_n, coord_matrix=top + t * bottom @ d)
+    return MPair(p=p_t, p_star=nu(p_t))
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 5), (3, 7)])
+def test_log_distance_along_a_polar_map_is_lambda_at_second_order(m, n):
+    # polar maps are homogeneous, so there is no t^3 term: the error of
+    # L / t^2 against lam(d, d) shrinks by 4 per halving of t
+    rng = np.random.default_rng(110 + n)
+    for _ in range(20):
+        q = random_quadric(rng, n)
+        pair = random_polar_pair(rng, q, m)
+        d = random_direction(rng, m, n).d
+        lam = polar_lambda(block_metrics(adapted_frame(pair), q, m)).lam
+        lam_dd = float(np.einsum("abij,ia,jb->", lam, d, d))
+        nu = polar_map(q)
+        errors = [
+            abs(cr_log_distance(pair, along_direction(nu, pair, d, t)) / t**2 - lam_dd)
+            for t in EXPANSION_STEPS
+        ]
+        scale = float(np.max(np.abs(lam)))
+        assert errors[0] <= 0.1 * scale
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
+        assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.5)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 5), (3, 7)])
+def test_log_distance_along_a_constant_map_vanishes(m, n):
+    # with one complement W is the projector onto p along it: trace m + 1
+    rng = np.random.default_rng(120 + n)
+    for _ in range(20):
+        pair = random_pair(rng, n, m)
+        d = random_direction(rng, m, n).d
+        nu = constant_map(pair.p_star)
+        for t in EXPANSION_STEPS:
+            assert abs(cr_log_distance(pair, along_direction(nu, pair, d, t))) <= 1e-13
