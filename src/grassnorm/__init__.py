@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveTrace,
     NotComplementary,
     NotPolarAdapted,
-    SingularFrame,
     TangentSubspace,
     TensorTooLarge,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ProjectiveFrame",
     "Quadric",
     "RicciTensor",
-    "SingularFrame",
     "Subspace",
     "TangentDirection",
     "TangentSubspace",

@@ -17,10 +17,6 @@ class InvalidPair(GeometryError):
     """A subspace and its complement do not span the ambient space."""
 
 
-class SingularFrame(GeometryError):
-    """A frame matrix is not invertible at the working tolerance."""
-
-
 class NonPositiveTrace(GeometryError):
     """Cross-ratio trace is outside the domain of the log distance."""
 

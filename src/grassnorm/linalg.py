@@ -87,23 +87,6 @@ def _threshold_pivots(q: np.ndarray) -> list:
         gram -= np.multiply.outer(col, col, out=outer)
 
 
-def unit_columns(a: np.ndarray) -> np.ndarray:
-    """Rescale columns to unit length with first nonzero entry positive."""
-    a = np.array(a, dtype=float)
-    # a (1 x n) @ (n x 1) product is the dot product np.linalg.norm takes of
-    # one contiguous column, so each norm has the bits of that norm
-    cols = np.ascontiguousarray(a.T)
-    norms = np.sqrt(cols[:, None, :] @ cols[:, :, None])[:, 0, 0]
-    if np.any(norms == 0.0):
-        raise ValueError("zero column cannot be normalized")
-    a /= norms
-    big = np.abs(a) > 1e-14
-    first = a[np.argmax(big, axis=0), np.arange(a.shape[1])]
-    flip = big.any(axis=0) & (first < 0)
-    a[:, flip] = -a[:, flip]
-    return a
-
-
 def is_invertible(a: np.ndarray) -> bool:
     """True when a is a nonempty square matrix, or a (..., k, k) stack of
     them, with every singular value significant: one SVD, no vectors."""

@@ -9,8 +9,8 @@ Constructors read one point per row of an array.  The same SVD gives
 orthonormal bases, on which predicates and equality are measured.
 
 An m-pair joins an m-dimensional subspace p with a complementary
-subspace p_star of dimension n - m - 1.  Frames adapted to an m-pair put
-the spanning points of p first and those of p_star last.
+subspace p_star of dimension n - m - 1.  The frame adapted to an m-pair
+puts an orthonormal basis of p first and one of p_star last.
 """
 
 from __future__ import annotations
@@ -19,20 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DependentPoints,
-    DimensionMismatch,
-    InvalidPair,
-    SingularFrame,
-)
-from .linalg import (
-    RANK_RTOL,
-    _frozen,
-    _significant,
-    _threshold_pivots,
-    is_invertible,
-    unit_columns,
-)
+from .errors import DependentPoints, DimensionMismatch, InvalidPair
+from .linalg import RANK_RTOL, _frozen, _significant, _threshold_pivots, is_invertible
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,11 @@ class MPair:
 
 @dataclass(frozen=True)
 class ProjectiveFrame:
-    """An invertible matrix whose columns are frame points."""
+    """A read-only (n+1) x (n+1) matrix whose columns are frame points.
+
+    Only its shape and finiteness are checked: the frames of
+    adapted_frame are invertible by construction.
+    """
 
     ambient_n: int
     frame_matrix: np.ndarray
@@ -127,8 +119,6 @@ class ProjectiveFrame:
     def __post_init__(self):
         k = self.ambient_n + 1
         mat = _frozen(self.frame_matrix, (k, k), "frame_matrix", finite=True)
-        if not is_invertible(mat):
-            raise SingularFrame("frame matrix is singular at the working tolerance")
         object.__setattr__(self, "frame_matrix", mat)
 
 
@@ -157,14 +147,22 @@ def subspace_from_points(points, ambient_n: int | None = None) -> Subspace:
 
 
 def adapted_frame(pair: MPair) -> ProjectiveFrame:
-    """Frame with p's canonical points first and p_star's last.
+    """Frame (Q_p | Q_p_star): an orthonormal basis of p, then one of p_star.
 
-    Columns are rescaled to unit Euclidean length with first nonzero
-    entry positive, so the frame is a deterministic function of the pair,
-    and they are independent, since the members of a pair span the space.
+    Each Q is the Householder QR factor of that member's canonical
+    coord_matrix, with the diagonal of R made positive, so the frame is a
+    deterministic function of the pair.  Its singular values are
+    sqrt(1 +/- cos theta_i) and 1, for the principal angles theta_i
+    between p and p_star, so sigma_min / sigma_max = tan(theta_min / 2)
+    >= sin(theta_min) / 2.  MPair requires sin(theta_min) > RANK_RTOL, so
+    the frame of every pair is invertible, with condition below
+    2 / RANK_RTOL.
     """
-    frame = unit_columns(np.hstack([pair.p.coord_matrix, pair.p_star.coord_matrix]))
-    return ProjectiveFrame(ambient_n=pair.ambient_n, frame_matrix=frame)
+    blocks = []
+    for member in (pair.p, pair.p_star):
+        q, r = np.linalg.qr(member.coord_matrix)
+        blocks.append(q * np.copysign(1.0, np.diagonal(r)))
+    return ProjectiveFrame(ambient_n=pair.ambient_n, frame_matrix=np.hstack(blocks))
 
 
 def _graph_over_frame(

@@ -3,11 +3,11 @@
 A constant normalization p -> p_star_0 has vanishing fundamental tensor,
 hence zero metric and zero curvature: the induced connection is flat.
 The subspaces not meeting p_star_0 form an affine chart of dimension
-rho = (m + 1)(n - m): in a frame adapted to p_star_0, such a subspace
-has coordinates (T; B'), T invertible, and the matrix B = B' T^-1 is its
-chart coordinate.  Chart translations are B -> B + C; the directions
-fixed by the degenerate metric structure are exactly the chart matrices
-of rank at most one.
+rho = (m + 1)(n - m): in the orthogonal frame of chart_frame, whose last
+columns span p_star_0, such a subspace has coordinates (T; B'), T
+invertible, and the matrix B = B' T^-1 is its chart coordinate.  Chart
+translations are B -> B + C; the directions fixed by the degenerate
+metric structure are exactly the chart matrices of rank at most one.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ class AffineChartPoint:
 def chart_frame(p_star: Subspace) -> ProjectiveFrame:
     """Deterministic frame adapted to the chart center p_star.
 
-    The first column group spans the orthogonal complement of p_star,
-    cut out by its equation rows; the last group spans p_star itself.
+    The adapted frame of the pair (orthogonal complement of p_star,
+    p_star): an orthonormal basis of the complement, cut out by p_star's
+    equation rows, then one of p_star itself, so the frame is orthogonal.
     """
     p0 = Subspace(ambient_n=p_star.ambient_n, coord_matrix=p_star.equations.T)
     return adapted_frame(MPair(p=p0, p_star=p_star))

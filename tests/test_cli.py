@@ -295,6 +295,17 @@ def test_constant_map_meeting_the_subspace_exits_two(files, capsys):
     assert captured.err == "error: pair members do not span the ambient space\n"
 
 
+@pytest.mark.parametrize("s", [1.2e-9, 1.5e-9, 2e-9])
+def test_constant_map_leaning_toward_the_subspace_exits_zero(files, capsys, s):
+    # the pair (span(e0), span(e0 + s e1, e2)) is valid, so it has a frame
+    p = files["write"]("point.json", {"n": 2, "points": [[1, 0, 0]]})
+    leaning = files["write"]("leaning.json", {"n": 2, "points": [[1, s, 0], [0, 0, 1]]})
+    code, rep = invoke(capsys, ["estimate-lambda", "--map", f"constant:{leaning}", "--subspace", p])
+    assert code == 0
+    assert rep["outputs"]["lambda_rank"] == 0
+    assert not np.any(rep["outputs"]["lambda"])
+
+
 def test_non_utf8_input_exits_two_naming_the_file(files, capsys, tmp_path):
     bad = tmp_path / "latin.json"
     bad.write_bytes(b"\xff" + json.dumps({"m": 1, "n": 3}).encode())

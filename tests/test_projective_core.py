@@ -8,15 +8,15 @@ from grassnorm import (
     DimensionMismatch,
     InvalidPair,
     MPair,
-    ProjectiveFrame,
-    SingularFrame,
     Subspace,
     adapted_frame,
+    constant_map,
     estimate_fundamental_tensor,
     polar_conjugate,
     polar_map,
     subspace_from_points,
 )
+from grassnorm.linalg import RANK_RTOL
 
 from _gen import (
     random_invertible,
@@ -132,9 +132,9 @@ def test_adapted_frame_columns_span_the_pair():
     rng = np.random.default_rng(12)
     for _ in range(10):
         pair = random_pair(rng, 4, 1)
-        frame = adapted_frame(pair)
-        f = frame.frame_matrix
-        np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
+        f = adapted_frame(pair).frame_matrix
+        np.testing.assert_allclose(f[:, :2].T @ f[:, :2], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(f[:, 2:].T @ f[:, 2:], np.eye(3), atol=1e-12)
         assert subspace_from_points(f[:, :2].T).same_as(pair.p)
         assert subspace_from_points(f[:, 2:].T).same_as(pair.p_star)
 
@@ -147,9 +147,35 @@ def test_adapted_frame_is_deterministic():
     np.testing.assert_array_equal(f1, f2)
 
 
-def test_projective_frame_must_be_invertible():
-    with pytest.raises(SingularFrame):
-        ProjectiveFrame(ambient_n=2, frame_matrix=np.ones((3, 3)))
+@pytest.mark.parametrize("s", [1.2e-9, 1.5e-9, 2e-9])
+def test_every_pair_mpair_accepts_gets_an_invertible_frame(s):
+    # p_star leans toward p by an angle of about s, just above RANK_RTOL:
+    # MPair accepts the pair, so its frame must exist, and the constant
+    # map to p_star has zero fundamental tensor there
+    p = subspace_from_points([[1, 0, 0]])
+    p_star = subspace_from_points([[1, s, 0], [0, 0, 1]])
+    pair = MPair(p=p, p_star=p_star)
+    frame = adapted_frame(pair).frame_matrix
+    assert np.linalg.cond(frame) < 2.0 / RANK_RTOL
+    lam = estimate_fundamental_tensor(constant_map(p_star), pair).lam
+    assert np.max(np.abs(lam)) == 0.0
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (1, 4), (2, 5), (3, 7)])
+def test_adapted_frame_condition_is_set_by_the_smallest_principal_angle(m, n):
+    # with orthonormal blocks the frame's singular values are
+    # sqrt(1 +- cos theta_i) and 1, so its condition is 1 / tan(theta_min / 2)
+    rng = np.random.default_rng(30 + n)
+    for tilt in 10.0 ** -np.arange(0, 9):
+        frame0 = random_orthogonal(rng, n + 1)
+        star = frame0[:, m + 1 :].copy()
+        star[:, 0] += tilt * frame0[:, 0]  # lean p_star toward p
+        pair = MPair(p=subspace_from_points(frame0[:, : m + 1].T), p_star=subspace_from_points(star.T))
+        # MPair's measure: the smallest singular value of U X is sin(theta_min)
+        sines = np.linalg.svd(pair.p_star.equations @ pair.p.basis, compute_uv=False)
+        theta_min = np.arcsin(sines[-1])
+        cond = np.linalg.cond(adapted_frame(pair).frame_matrix)
+        assert cond == pytest.approx(1.0 / np.tan(theta_min / 2.0), rel=1e-6)
 
 
 def unit_pivot_rows(sub):
