@@ -21,20 +21,22 @@ yields the Ricci tensor, which also has the closed form
 Ric is symmetric under the simultaneous exchange (beta, j) <-> (gamma, k)
 exactly when lam is harmonic.
 
-A normalization is homogeneous when its tensor is covariantly constant;
-an algebraic consequence is the vanishing of homogeneity_residual, whose
-eight quadratic terms are P - swap(P), P the sum of four and swap the
-exchange (gamma, k) <-> (eps, l): two rank-2 matrix products per first
-Greek index, in a layout where the swap is a matrix transpose.  The
-covariant derivative is estimated by finite differences along a tangent
-direction: one graph call of the map transports the adapted frame to the
-two displaced subspaces, and one more estimates the tensor at both.
+A normalization is homogeneous when its tensor is covariantly constant.
+The integrability condition, the curvature acting on lam as a derivation,
+is homogeneity_residual, whose eight quadratic terms are P - swap(P), P
+the sum of four and swap the exchange (gamma, k) <-> (eps, l): two rank-2
+matrix products per first Greek index, in a layout where the swap is a
+matrix transpose.  The covariant derivative is estimated by finite
+differences along a tangent direction: one graph call of the map
+transports the adapted frame to the two displaced subspaces, and one
+more estimates the tensor at both.
 
 The curvature has rho^4 entries, rho = (m + 1)(n - m), most of them
 structural zeros.  curvature_tensor writes each term onto its Kronecker
-diagonal of one zeroed result, and homogeneity_residual works one first
-Greek index at a time, so neither makes a second array of that size.
-Past linalg.DENSE_BUDGET_BYTES, TensorTooLarge is raised before allocating.
+diagonal of one zeroed result, and homogeneity_residual works in tiles
+of one first Greek index sized to the cache, so neither makes a second
+array of that size.  Past linalg.DENSE_BUDGET_BYTES, TensorTooLarge is
+raised before allocating.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FramingFailure
-from .linalg import _dense_zeros, _frozen
+from .linalg import _check_dense, _frozen
 from .normalization import (
     FundamentalTensor,
     NormalizingMap,
@@ -53,6 +55,8 @@ from .normalization import (
     _graph_stack,
 )
 from .projective_core import MPair, adapted_frame
+
+_TILE_BYTES = 2**19  # homogeneity_residual's P tile: with its partner, 1 MiB, in a 2 MiB L2
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def curvature_tensor(lam: FundamentalTensor) -> CurvatureTensor:
     linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = lam.m + 1, lam.n - lam.m
-    r = _dense_zeros((ld, gd, gd, gd, gd, ld, ld, ld), "curvature tensor")
+    r = np.zeros(_check_dense((ld, gd, gd, gd, gd, ld, ld, ld), "curvature tensor"))
     h = 0.5 * lam.lam
     # indexing both slots of each delta with the (i, alpha) grid picks, for
     # every (i, alpha), the four-axis block on which that term is nonzero
@@ -143,21 +147,25 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
     tol * max(lam)^2; products that overflow make it inf or nan.
 
     Terms 5 to 8 are terms 1 to 4 swapped, (gamma, k) <-> (eps, l), and
-    negated.  So one first Greek index alpha at a time, a block P of terms
-    1 to 4 is formed and the expression's block is P - swap(P).  P has
-    axes (beta, i, j, gamma, k, eps, l): per (beta, i, j) a square matrix
-    with rows (gamma, k) and columns (eps, l), whose transpose is the swap.
+    negated.  So for each first Greek index alpha, P, the sum of terms 1
+    to 4, is formed and the expression is P - swap(P).  P has axes
+    (beta, i, j, gamma, k, eps, l): per (beta, i, j) a square matrix with
+    rows (gamma, k) and columns (eps, l), whose transpose is the swap.
     Terms 1 + 2 are one batched matmul of inner dimension 2 with rows k
     and columns (eps, l), terms 3 + 4 another with one row and columns
-    (k, eps, l); both land contiguously in that layout.  Raises
-    TensorTooLarge, before allocating, when a block would exceed
-    linalg.DENSE_BUDGET_BYTES.
+    (k, eps, l); both land contiguously in that layout.  P is made in
+    cache-sized tiles of consecutive (beta, i) rows, and each matrix goes
+    through the same products at any tile size.  Raises TensorTooLarge,
+    before allocating, when one alpha slab, 8 (m + 1)^3 (n - m)^4 bytes,
+    would exceed linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = lam.m + 1, lam.n - lam.m
     t, q = lam.lam, gd * ld
-    # axes b i j c k e l, reused for every alpha: p takes terms 1 + 2, h terms 3 + 4
-    p = _dense_zeros((gd, ld, ld, gd, ld, gd, ld), "homogeneity block")
-    h = _dense_zeros(p.shape, "homogeneity block")
+    _check_dense((gd, ld, ld, gd, ld, gd, ld), "homogeneity block")
+    rows = max(1, _TILE_BYTES // (8 * ld * q * q))  # of P, one per (b, i)
+    nb, ni = min(gd, max(1, rows // ld)), min(ld, rows)  # a tile: nb whole b, or ni i of one b
+    p = np.empty((nb, ni, ld, q, q))  # axes b i j (c k) (e l): terms 1 + 2, then P
+    h = np.empty_like(p)  # terms 3 + 4, then the expression
     # the factors of both products, axes named alongside, s the inner index;
     # the halves free of alpha are written once, the others for each alpha
     left12 = np.empty((gd, ld, ld, 1, ld, 2))  # b i j . k s
@@ -169,8 +177,11 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
     right34 = np.empty((gd, 2, ld, gd, ld))  # b s k e l
     right34[:, 0] = t.transpose(0, 2, 1, 3)  # t[b,e,k,l]
     r12, r34 = right12.reshape(ld, ld, gd, 2, q), right34.reshape(gd, 1, 1, 1, 2, ld * q)
-    p12, h34 = p.reshape(gd, ld, ld, gd, ld, q), h.reshape(gd, ld, ld, gd, 1, ld * q)
-    pm, hm = p.reshape(gd, ld, ld, q, q), h.reshape(gd, ld, ld, q, q)
+    p12, h34 = p.reshape(nb, ni, ld, gd, ld, q), h.reshape(nb, ni, ld, gd, 1, ld * q)
+    cuts = [(slice(b, b + nb), slice(i, i + ni), np.s_[: min(nb, gd - b), : min(ni, ld - i)])
+            for b in range(0, gd, nb) for i in range(0, ld, ni)]
+    tiles = [(left12[b, i], r12[i], p12[o], left34[b, i], r34[b], h34[o], p[o], h[o])
+             for b, i, o in cuts]  # the views each tile's products read and write
     peaks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t_alpha in t:
@@ -178,11 +189,12 @@ def homogeneity_residual(lam: FundamentalTensor) -> float:
             left12[..., 1] = t_alpha.transpose(0, 2, 1)[:, None, :, None, :]  # t[a,b,k,j]
             left34[..., 0, 0] = t_alpha.transpose(1, 2, 0)  # t[a,c,i,j]
             right34[:, 1] = t_alpha.transpose(1, 0, 2)  # t[a,e,k,l]
-            np.matmul(left12, r12, out=p12)
-            np.matmul(left34, r34, out=h34)
-            p += h
-            np.subtract(pm, pm.swapaxes(-1, -2), out=hm)
-            peaks.append(np.max(np.abs(h, out=h)))
+            for a12, b12, out12, a34, b34, out34, pt, ht in tiles:
+                np.matmul(a12, b12, out=out12)
+                np.matmul(a34, b34, out=out34)
+                pt += ht
+                np.subtract(pt, pt.swapaxes(-1, -2), out=ht)
+                peaks.append(np.max(np.abs(ht, out=ht)))
     return float(np.max(peaks, initial=0.0))  # np.max keeps a nan peak; max() would not
 
 

@@ -43,13 +43,13 @@ def _frozen(a, shape=None, name: str = "array", finite: bool = False) -> np.ndar
     return arr
 
 
-def _dense_zeros(shape: tuple, what: str) -> np.ndarray:
-    """Zeroed float array of the given shape; raises TensorTooLarge,
-    before allocating anything, when it would exceed DENSE_BUDGET_BYTES."""
+def _check_dense(shape: tuple, what: str) -> tuple:
+    """shape, after checking, before anything is allocated, that a float
+    array of it fits DENSE_BUDGET_BYTES; raises TensorTooLarge if not."""
     needed = 8 * math.prod(shape)
     if needed > DENSE_BUDGET_BYTES:
         raise TensorTooLarge(what, needed, DENSE_BUDGET_BYTES)
-    return np.zeros(shape)
+    return shape
 
 
 def _significant(values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ Latin lowered with g_ij) has the closed form implemented by
 covariant_curvature; adjust_curvature_indices performs the same raising
 and lowering on a curvature tensor computed from any lam.  Both fill one
 rho^4 result in place: covariant_curvature as a rank-2 matrix product,
-adjust_curvature_indices one (beta, gamma, eps) block at a time.
+adjust_curvature_indices by Kronecker factors, one block at a time.
 covariant_curvature raises TensorTooLarge, before allocating, when its
 result would exceed linalg.DENSE_BUDGET_BYTES.
 """
@@ -36,7 +36,7 @@ from .errors import (
     NotPolarAdapted,
     TangentSubspace,
 )
-from .linalg import RANK_RTOL, _dense_zeros, _frozen, is_invertible
+from .linalg import RANK_RTOL, _check_dense, _frozen, is_invertible
 from .normalization import FundamentalTensor, NormalizingMap
 from .projective_core import ProjectiveFrame, Subspace
 
@@ -201,7 +201,7 @@ def covariant_curvature(bm: BlockMetrics) -> CovariantCurvature:
     result would exceed linalg.DENSE_BUDGET_BYTES.
     """
     gd, ld = bm.m + 1, bm.n - bm.m
-    rc = _dense_zeros((gd, gd, gd, gd, ld, ld, ld, ld), "covariant curvature")
+    rc = np.zeros(_check_dense((gd, gd, gd, gd, ld, ld, ld, ld), "covariant curvature"))
     gi, gl = bm.g_ab_inv, bm.g_ij
     term_latin = np.einsum("il,jk->ijkl", gl, gl) - np.einsum("ik,jl->ijkl", gl, gl)
     term_greek = np.einsum("ae,bc->abce", gi, gi) - np.einsum("ac,be->abce", gi, gi)
@@ -216,21 +216,23 @@ def adjust_curvature_indices(curv: CurvatureTensor, bm: BlockMetrics) -> Covaria
     """Raise the lower Greek index with g_ab_inv and lower the upper
     Latin index with g_ij, giving the fully covariant curvature.
 
-    Both changes act on the (alpha, i) pair alone, as one square matrix
-    kron[(a, i), (I, A)] = g_ab_inv[a, A] g_ij[i, I] of side
-    (m + 1)(n - m); it is applied to the block of each (beta, gamma, eps)
-    in turn, so no temporary is near the result's size.  The result is
+    Both changes act on the (alpha, i) pair alone.  For the block of each
+    (beta, gamma, eps), one product with g_ij over the Latin index, then
+    one batched product with g_ab_inv over the Greek one, written into the
+    result, apply the two factors of g_ab_inv (x) g_ij in turn: (m + 1) +
+    (n - m) multiplications per entry, not (m + 1)(n - m).  The result is
     the size of curv.r, so it needs no budget check.
     """
     if (curv.m, curv.n) != (bm.m, bm.n):
         raise DimensionMismatch("curvature and block metrics have different shapes")
     gd, ld = bm.m + 1, bm.n - bm.m
-    kron = np.einsum("aA,iI->aiIA", bm.g_ab_inv, bm.g_ij).reshape(gd * ld, ld * gd)
-    rc = np.empty((gd, gd, gd, gd, ld, ld, ld, ld))
-    for b, c, e in np.ndindex(gd, gd, gd):
-        # r[I, b, c, e, A, j, k, l] -> rc[a, b, c, e, i, j, k, l]
-        block = kron @ curv.r[:, b, c, e].reshape(ld * gd, ld**3)
-        rc[:, b, c, e] = block.reshape(gd, ld, ld, ld, ld)
+    r = curv.r.reshape(ld, gd**3, gd * ld**3)
+    rc = np.empty((gd, gd**3, ld, ld**3))
+    for bce in range(gd**3):
+        # r[I, bce, A, jkl] -> lowered[i, A, jkl] -> rc[a, bce, i, jkl]
+        lowered = bm.g_ij @ r[:, bce]
+        np.matmul(bm.g_ab_inv, lowered.reshape(ld, gd, ld**3), out=rc[:, bce].swapaxes(0, 1))
+    rc = rc.reshape(gd, gd, gd, gd, ld, ld, ld, ld)
     rc.flags.writeable = False  # fresh, so CovariantCurvature keeps it without a copy
     return CovariantCurvature(m=bm.m, n=bm.n, rc=rc)
 

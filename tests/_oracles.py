@@ -96,6 +96,47 @@ def brute_force_homogeneity(ft):
     return float(np.max(peaks))  # keeps a nan peak, which Python's max would drop
 
 
+def curvature_derivation_homogeneity(ft):
+    """Max-abs of R(X, Y) lam over the basis directions X = E(k, gamma),
+    Y = E(l, eps), shape (n - m, m + 1), where R(X, Y) is the curvature
+    of the induced connection acting on lam as a derivation:
+
+        omega(X)[a][i] = sum over b, j of lam[a][b][i][j] X[j][b]
+        greek = -(omega(X) Y - omega(Y) X)    latin = -(X omega(Y) - Y omega(X))
+        (R lam)[a][b][i][j] = sum_c greek[a][c] lam[c][b][i][j]
+                              + sum_c greek[b][c] lam[a][c][i][j]
+                              - sum_k latin[k][i] lam[a][b][k][j]
+                              - sum_k latin[k][j] lam[a][b][i][k]
+
+    A covariantly constant lam makes it vanish: it is the integrability
+    condition of nabla lam = 0.  It is built from the connection forms
+    direction by direction, not from the eight terms of the homogeneity
+    expression."""
+    m, n = ft.m, ft.n
+    lam = ft.lam
+    basis = []
+    for k in range(n - m):
+        for c in range(m + 1):
+            x = np.zeros((n - m, m + 1))
+            x[k, c] = 1.0
+            basis.append(x)
+    peaks = [0.0]
+    for x in basis:
+        for y in basis:
+            wx = np.einsum("abij,jb->ai", lam, x)
+            wy = np.einsum("abij,jb->ai", lam, y)
+            greek = -(wx @ y - wy @ x)
+            latin = -(x @ wy - y @ wx)
+            r = (
+                np.einsum("ac,cbij->abij", greek, lam)
+                + np.einsum("bc,acij->abij", greek, lam)
+                - np.einsum("ki,abkj->abij", latin, lam)
+                - np.einsum("kj,abik->abij", latin, lam)
+            )
+            peaks.append(np.max(np.abs(r)))
+    return float(np.max(peaks))  # keeps a nan peak, which Python's max would drop
+
+
 def brute_force_adjust(r, g_ab_inv, g_ij):
     """rc[a][b][c][e][i][j][k][l] = sum over A, I of
     g_ab_inv[a][A] g_ij[i][I] r[I][b][c][e][A][j][k][l], one (a, i, A, I)
